@@ -49,6 +49,16 @@ func stealFrac(a, b cpuTimes) float64 {
 	return float64(b.steal-a.steal) / float64(b.total-a.total)
 }
 
+// procCPU is the CPU time the process has used so far, user plus system.
+// Time the hypervisor stole or other processes ran is not in it.
+func procCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
 // peakRSSMiB reads VmHWM, the process's peak resident set.
 func peakRSSMiB() float64 {
 	raw, err := os.ReadFile("/proc/self/status")
@@ -67,9 +77,18 @@ func peakRSSMiB() float64 {
 	return 0
 }
 
+// cpuClock is one reading of the wall clock and the process CPU time.
+type cpuClock struct {
+	wall time.Time
+	cpu  time.Duration
+}
+
+func startClock() cpuClock { return cpuClock{time.Now(), procCPU()} }
+
 // rtSnap is the runtime's allocation and CPU accounting at one instant.
 type rtSnap struct {
 	at             time.Time
+	proc           time.Duration // procCPU
 	bytes, mallocs uint64
 	gcCPU, cpu     float64
 	steal          cpuTimes
@@ -95,7 +114,7 @@ func snapRuntime() rtSnap {
 		}
 		return 0
 	}
-	return rtSnap{at: time.Now(), bytes: uint64(val(0)), mallocs: uint64(val(1)),
+	return rtSnap{at: time.Now(), proc: procCPU(), bytes: uint64(val(0)), mallocs: uint64(val(1)),
 		gcCPU: val(2), cpu: val(3), steal: readCPUTimes()}
 }
 
@@ -145,8 +164,10 @@ func startWindow() *timedWindow {
 func (w *timedWindow) end(r *report, ops int) {
 	close(w.stop)
 	peaks := <-w.done
+	b := snapRuntime()
 	r.set("rss_peak_mb", median(peaks), len(peaks))
-	r.windowRuntime(w.start, snapRuntime(), ops)
+	r.windowRuntime(w.start, b, ops)
+	r.note("window: %d ops in %.3f s wall, %.3f s process CPU", ops, b.at.Sub(w.start.at).Seconds(), (b.proc - w.start.proc).Seconds())
 }
 
 // windowRuntime books the allocation, GC and steal metrics of one timed

@@ -223,24 +223,26 @@ func (f *fleet) runCampaign(ctx context.Context, m campaign.Manifest) (string, e
 }
 
 // window runs whole campaigns back to back, starting new ones until the
-// window has elapsed, and returns their journals and each campaign's
-// throughput in units per second.
-func (f *fleet) window(ctx context.Context, o options) ([]string, []float64, error) {
+// window has elapsed, and returns their journals and one part per
+// campaign.
+func (f *fleet) window(ctx context.Context, o options) ([]string, []part, error) {
 	var journals []string
-	var rates []float64
+	var parts []part
+	probe := startProbe()
+	defer probe.stop()
 	start := time.Now()
 	for k := 0; k == 0 || time.Since(start) < o.window; k++ {
 		m := f.base
 		m.Name = fmt.Sprintf("sweep-fleet-%d", k)
-		t := time.Now()
+		clk := startClock()
 		path, err := f.runCampaign(ctx, m)
 		if err != nil {
 			return nil, nil, err
 		}
 		journals = append(journals, path)
-		rates = append(rates, float64(len(f.compiled.Units))/time.Since(t).Seconds())
+		parts = append(parts, probe.part(clk, startClock(), len(f.compiled.Units)))
 	}
-	return journals, rates, nil
+	return journals, parts, nil
 }
 
 // close drains the fleet: the host closes, workers observe it and exit,
@@ -296,42 +298,28 @@ func (f *fleet) workerStats() dist.WorkerStats {
 func runSweepFleet(ctx context.Context, o options, rep *report) error {
 	rep.note("sweep-fleet: %d in-process dist workers x 1 slot over loopback HTTP, sequential kernels, lease batch %d; idle waits: worker poll %v, lease backoff %v..%v",
 		fleetWorkers, fleetBatch, fleetPoll, fleetPoll, 10*fleetPoll)
-	setups := o.setups
-	if o.trace {
-		setups = 1
-	}
-	var f *fleet
-	var setupS []float64
-	for i := 0; i < setups; i++ {
-		t := time.Now()
-		nf, err := startFleet(ctx, o, fmt.Sprintf("fleet-%d", i), false)
-		if err != nil {
-			return err
-		}
-		setupS = append(setupS, time.Since(t).Seconds())
-		if i < setups-1 {
-			nf.close()
-		} else {
-			f = nf
-		}
+	f, err := setUp(o, rep, func(i int) (*fleet, error) {
+		return startFleet(ctx, o, fmt.Sprintf("fleet-%d", i), false)
+	}, (*fleet).close)
+	if err != nil {
+		return err
 	}
 	defer f.close()
-	rep.set("setup_s", median(setupS), len(setupS))
 	rep.set("campaign.calibrate_s", f.calibrate.Seconds(), 1)
 	rep.note("manifest: %s", f.compiled.Describe())
 
 	tw := startWindow()
-	journals, rates, err := f.window(ctx, o)
+	journals, parts, err := f.window(ctx, o)
 	ops := len(journals) * len(f.compiled.Units)
 	tw.end(rep, ops)
 	if err != nil {
 		return err
 	}
-	opsPerS := rep.throughput(rates, ops, "campaign")
+	perCPU := rep.throughput(parts, "campaign")
 	f.close()
 
 	if o.trace {
-		tj, err := tracedFleetWindow(ctx, o, rep, opsPerS)
+		tj, err := tracedFleetWindow(ctx, o, rep, perCPU)
 		if err != nil {
 			return err
 		}
@@ -359,7 +347,7 @@ func runSweepFleet(ctx context.Context, o options, rep *report) error {
 	if o.tiny {
 		n = 4
 	}
-	if err := probeUnits(ctx, rep, f.compiled, sampleUnits(o, f.compiled, n), nil, 5); err != nil {
+	if err := probeUnits(ctx, rep, f.compiled, sampleUnits(o, f.compiled, n)); err != nil {
 		return err
 	}
 	if err := probeJournal(rep, o.dir, recs); err != nil {
@@ -368,13 +356,13 @@ func runSweepFleet(ctx context.Context, o options, rep *report) error {
 	// Circuit units dominate the fleet's time: probe its matrix with the
 	// fleet's sequential kernels.
 	circuit := f.compiled.Problems[f.base.Problems[1].Key()]
-	return probeKernels(rep, circuit.A, f.base.Problems[1].InnerIters, 0)
+	return probeKernels(rep, circuit.A, f.base.Problems[1].InnerIters)
 }
 
 // tracedFleetWindow repeats the window on a fresh fleet with the worker
 // flight recorders and a timing round-tripper on, and books the dist,
 // campaign, store and obs per-layer metrics from them.
-func tracedFleetWindow(ctx context.Context, o options, rep *report, untracedOpsPerS float64) ([]string, error) {
+func tracedFleetWindow(ctx context.Context, o options, rep *report, untracedPerCPU float64) ([]string, error) {
 	f, err := startFleet(ctx, o, "fleet-traced", true)
 	if err != nil {
 		return nil, err
@@ -385,14 +373,14 @@ func tracedFleetWindow(ctx context.Context, o options, rep *report, untracedOpsP
 	f.mu.Unlock()
 	ws0, hs0 := f.workerStats(), f.host.Metrics().Snapshot()
 	t0 := time.Now()
-	journals, rates, err := f.window(ctx, o)
+	journals, parts, err := f.window(ctx, o)
 	if err != nil {
 		return nil, err
 	}
 	t1 := time.Now()
 	ops := len(journals) * len(f.compiled.Units)
 	ws1, hs1 := f.workerStats(), f.host.Metrics().Snapshot()
-	rep.set("trace.overhead_frac", 1-median(rates)/untracedOpsPerS, len(rates))
+	rep.traceOverhead(untracedPerCPU, parts)
 
 	lo, hi := t0.UnixNano(), t1.UnixNano()
 	var units []span

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sdcgmres/client"
@@ -204,20 +205,17 @@ func (jc *jobClient) do(ctx context.Context, p plannedJob) jobSample {
 	return s
 }
 
-// loop runs whole rounds until the window has elapsed and returns the
-// samples and each round's rate in jobs per second.
-func (jc *jobClient) loop(ctx context.Context, window time.Duration, start time.Time) ([]jobSample, []float64) {
+// loop runs whole rounds until the window has elapsed, counting each job
+// in done as it is observed terminal, and returns the samples.
+func (jc *jobClient) loop(ctx context.Context, window time.Duration, start time.Time, done *atomic.Int64) []jobSample {
 	var out []jobSample
-	var rates []float64
 	for r := 0; r == 0 || time.Since(start) < window; r++ {
-		t := time.Now()
-		round := jc.gen.round()
-		for _, p := range round {
+		for _, p := range jc.gen.round() {
 			out = append(out, jc.do(ctx, p))
+			done.Add(1)
 		}
-		rates = append(rates, float64(len(round))/time.Since(t).Seconds())
 	}
-	return out, rates
+	return out
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {
@@ -293,32 +291,50 @@ func (js *jobServer) each(f func(*jobClient) []jobSample) [][]jobSample {
 }
 
 // window runs the closed loop on every client and returns the samples per
-// client and the system's round rates: round k's rate is the sum over
-// clients of their k-th round's rate (clients run side by side, and the
-// rounds each client completes beyond the other's count are dropped).
-func (js *jobServer) window(ctx context.Context, o options) ([][]jobSample, []float64) {
+// client and the window cut into parts of a twentieth of its length, with
+// the jobs observed terminal in each.
+func (js *jobServer) window(ctx context.Context, o options) ([][]jobSample, []part) {
 	start := time.Now()
-	rates := make([][]float64, len(js.clients))
+	var done atomic.Int64
+	stop := make(chan struct{})
+	sliced := make(chan []part, 1)
+	probe := startProbe()
+	defer probe.stop()
+	go func() { sliced <- slices(o.window/20, &done, stop, probe) }()
 	per := make([][]jobSample, len(js.clients))
 	var wg sync.WaitGroup
 	wg.Add(len(js.clients))
 	for i, jc := range js.clients {
 		go func() {
 			defer wg.Done()
-			per[i], rates[i] = jc.loop(ctx, o.window, start)
+			per[i] = jc.loop(ctx, o.window, start, &done)
 		}()
 	}
 	wg.Wait()
-	var sum []float64
-	for k := 0; ; k++ {
-		total := 0.0
-		for _, r := range rates {
-			if k >= len(r) {
-				return per, sum
+	close(stop)
+	return per, <-sliced
+}
+
+// slices cuts the time until stop closes into parts of length d, each
+// with the growth of done over it. The last, shorter part is kept only if
+// it is at least half as long or the only one.
+func slices(d time.Duration, done *atomic.Int64, stop <-chan struct{}, probe *speedProbe) []part {
+	var out []part
+	t := time.NewTicker(d)
+	defer t.Stop()
+	prev, n0 := startClock(), done.Load()
+	for {
+		select {
+		case <-stop:
+			if now := startClock(); len(out) == 0 || now.wall.Sub(prev.wall) >= d/2 {
+				out = append(out, probe.part(prev, now, int(done.Load()-n0)))
 			}
-			total += r[k]
+			return out
+		case <-t.C:
+			now, n := startClock(), done.Load()
+			out = append(out, probe.part(prev, now, int(n-n0)))
+			prev, n0 = now, n
 		}
-		sum = append(sum, total)
 	}
 }
 
@@ -338,33 +354,19 @@ func (js *jobServer) close() {
 func runJobsHTTP(ctx context.Context, o options, rep *report) error {
 	rep.note("jobs-http: service.NewServer (FIFO, %d workers, memo on, sequential kernels), closed loop of %d client.Clients over loopback, job-wait poll %v, rounds of %v",
 		runtime.NumCPU(), jobClients, jobPoll, jobMix)
-	setups := o.setups
-	if o.trace {
-		setups = 1
-	}
-	var js *jobServer
-	var setupS []float64
-	for i := 0; i < setups; i++ {
-		t := time.Now()
-		n, err := startJobServer(ctx, o, 0)
-		if err != nil {
-			return err
-		}
-		setupS = append(setupS, time.Since(t).Seconds())
-		if i < setups-1 {
-			n.close()
-		} else {
-			js = n
-		}
+	js, err := setUp(o, rep, func(int) (*jobServer, error) {
+		return startJobServer(ctx, o, 0)
+	}, (*jobServer).close)
+	if err != nil {
+		return err
 	}
 	defer js.close()
-	rep.set("setup_s", median(setupS), len(setupS))
 
 	tw := startWindow()
-	per, rate := js.window(ctx, o)
+	per, parts := js.window(ctx, o)
 	samples := flatten(per)
 	tw.end(rep, len(samples))
-	opsPerS := rep.throughput(rate, len(samples), "round")
+	perCPU := rep.throughput(parts, "slice")
 	// Memo caches are per server, so the gate checks each server's jobs
 	// as one group.
 	groups := [][]jobSample{append(flatten(js.warm), samples...)}
@@ -385,9 +387,8 @@ func runJobsHTTP(ctx context.Context, o options, rep *report) error {
 		}
 		defer tjs.close()
 		t0 := time.Now()
-		tper, trate := tjs.window(ctx, o)
+		tper, tparts := tjs.window(ctx, o)
 		t1 := time.Now()
-		rep.set("trace.overhead_frac", 1-median(trate)/opsPerS, len(trate))
 		events := 0
 		var covered int64
 		for _, cs := range tper {
@@ -404,6 +405,7 @@ func runJobsHTTP(ctx context.Context, o options, rep *report) error {
 			covered += unionNS(sp, t0.UnixNano(), t1.UnixNano())
 		}
 		tsamples := flatten(tper)
+		rep.traceOverhead(perCPU, tparts)
 		rep.set("trace.coverage_frac", float64(covered)/(float64(jobClients)*float64(t1.Sub(t0))), len(tsamples))
 		rep.note("traced window: %d jobs, TraceCapacity %d, %d flight-recorder events; coverage spans: SubmitJob call and the job's run (StartedAt..FinishedAt)",
 			len(tsamples), jobTraceCap, events)

@@ -14,16 +14,11 @@ import (
 // modified Gram-Schmidt pass (j dots and j axpys against a basis of j
 // vectors, j = the workload's inner iteration count) through
 // kernel.Dot/kernel.Axpy. Bandwidth is computed bytes (each array touched
-// once per use) over median wall time. workers is the workload's kernel
-// pool width (0 = sequential); pool_speedup compares the MGS pass with no
-// pool against a pool of every CPU.
-func probeKernels(rep *report, a *sparse.CSR, j, workers int) error {
+// once per use) over median wall time, with sequential kernels as the
+// workloads run them; pool_speedup compares that MGS pass against a pool
+// of every CPU.
+func probeKernels(rep *report, a *sparse.CSR, j int) error {
 	n := a.Rows()
-	var pool *kernel.Pool
-	if workers > 1 {
-		pool = kernel.New(workers)
-		defer pool.Close()
-	}
 	wide := kernel.New(runtime.NumCPU())
 	defer wide.Close()
 
@@ -32,7 +27,7 @@ func probeKernels(rep *report, a *sparse.CSR, j, workers int) error {
 		x[i] = 1 + float64(i%7)/7
 	}
 	y := make([]float64, n)
-	spmv := medianCall(func() {}, func() { a.MatVecPool(pool, y, x) })
+	spmv := medianCall(func() {}, func() { a.MatVecPool(nil, y, x) })
 	spmvBytes := float64(a.NNZ())*16 + float64(n+1)*8 + float64(n)*16
 	rep.set("kernel.spmv_gbps", spmvBytes/spmv.Seconds()/1e9, n)
 
@@ -60,12 +55,12 @@ func probeKernels(rep *report, a *sparse.CSR, j, workers int) error {
 		}
 	}
 	mgsBytes := float64(j) * 5 * float64(n) * 8 // dot reads 2n, axpy reads 2n and writes n
-	rep.set("kernel.mgs_gbps", mgsBytes/medianCall(reset, mgs(pool)).Seconds()/1e9, n)
 	seq := medianCall(reset, mgs(nil))
+	rep.set("kernel.mgs_gbps", mgsBytes/seq.Seconds()/1e9, n)
 	par := medianCall(reset, mgs(wide))
 	rep.set("kernel.pool_speedup", seq.Seconds()/par.Seconds(), n)
-	rep.note("kernel probes: n=%d nnz=%d mgs j=%d, workload pool %d, speedup pool %d; bytes are computed, not counted",
-		n, a.NNZ(), j, workers, runtime.NumCPU())
+	rep.note("kernel probes: n=%d nnz=%d mgs j=%d, sequential, speedup pool %d; bytes are computed, not counted",
+		n, a.NNZ(), j, runtime.NumCPU())
 	return nil
 }
 

@@ -1,10 +1,10 @@
 // Command bench is the repository's end-to-end benchmark. It drives the
 // solver platform in-process — the campaign runner, the dist fleet over
 // loopback HTTP, and the solved job service through its client — on one of
-// three seeded workloads, measures for a fixed window, checks every output
+// two seeded workloads, measures for a fixed window, checks every output
 // against an independent reference, and prints its metrics.
 //
-//	bench --workload sweep-fleet|sweep-large|jobs-http --seed N --seconds S --trace 0|1
+//	bench --workload sweep-fleet|jobs-http --seed N --seconds S --trace 0|1
 //
 // With --trace 0 the last line of standard output is a JSON object carrying
 // the end-to-end metrics; with --trace 1 it carries the per-layer metrics of
@@ -51,7 +51,6 @@ type workloadFunc func(ctx context.Context, o options, rep *report) error
 
 var workloads = map[string]workloadFunc{
 	"sweep-fleet": runSweepFleet,
-	"sweep-large": runSweepLarge,
 	"jobs-http":   runJobsHTTP,
 }
 
@@ -99,7 +98,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer os.RemoveAll(dir)
 
 	o := options{workload: *name, seed: *seed, window: time.Duration(*seconds * float64(time.Second)),
-		trace: *traced == 1, setups: 5, dir: dir}
+		trace: *traced == 1, setups: 7, dir: dir}
+	if o.trace {
+		// The traced run measures an untraced and a traced window, each
+		// half as long, so it takes about as long as an untraced run.
+		o.window /= 2
+	}
 	rep, err := execute(context.Background(), wl, o)
 	if err != nil {
 		fmt.Fprintln(stderr, "bench:", err)

@@ -78,18 +78,90 @@ func (r *report) pct(name string, xs []float64, q float64) {
 	r.set(name, v, len(xs))
 }
 
-// throughput books ops_per_s as the median of the window's per-part rates
-// (one per campaign, unit or round), so a slow stretch of a shared machine
-// moves one part rather than the whole figure.
-func (r *report) throughput(rates []float64, ops int, part string) float64 {
-	v := median(rates)
-	r.set("ops_per_s", v, len(rates))
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, x := range rates {
-		lo, hi = math.Min(lo, x), math.Max(hi, x)
+// part is one piece of a timed window — a campaign of sweep-fleet, a
+// twentieth of the window of jobs-http — with the ops it completed, the
+// wall and process CPU time it took (the speed probe's excluded), and the
+// median speed-probe time in it.
+type part struct {
+	ops       int
+	wall, cpu time.Duration
+	probeUS   float64
+}
+
+// cpuRates is each part's ops per second of process CPU time, scaled to
+// the reference machine speed.
+func cpuRates(parts []part) []float64 {
+	out := make([]float64, len(parts))
+	for i, p := range parts {
+		out[i] = float64(p.ops) / p.cpu.Seconds() * speedAdjust(p.probeUS)
 	}
-	r.note("window: %d ops; ops_per_s = median over %d %ss of their rate (min %.4g, max %.4g); in order %.4g", ops, len(rates), part, lo, hi, rates)
-	return v
+	return out
+}
+
+// throughput books ops_per_cpu_s and ops_per_s, the medians over the
+// window's parts of their speed-adjusted ops per CPU second and of their
+// ops per wall second, so a slow stretch of a shared machine moves a few
+// parts rather than the whole figure, and env.probe_us. It returns
+// ops_per_cpu_s.
+func (r *report) throughput(parts []part, kind string) float64 {
+	wall := make([]float64, len(parts))
+	raw := make([]float64, len(parts))
+	probe := make([]float64, len(parts))
+	for i, p := range parts {
+		wall[i] = float64(p.ops) / p.wall.Seconds()
+		raw[i] = float64(p.ops) / p.cpu.Seconds()
+		probe[i] = p.probeUS
+	}
+	cpu := cpuRates(parts)
+	r.set("ops_per_cpu_s", median(cpu), len(cpu))
+	r.set("ops_per_s", median(wall), len(wall))
+	r.set("env.probe_us", median(probe), len(probe))
+	r.note("ops_per_cpu_s = median over %d %ss of speed-adjusted ops per CPU second, in order %.4g", len(cpu), kind, cpu)
+	r.note("unadjusted ops per CPU second: median %.4g, in order %.4g", median(raw), raw)
+	r.note("speed probe us: median %.4g, in order %.4g", median(probe), probe)
+	r.note("ops_per_s = median over %d %ss of ops per wall second, in order %.4g", len(wall), kind, wall)
+	return median(cpu)
+}
+
+// setUp starts a workload o.setups times (once for a traced run) under a
+// speed probe and closes every instance but the last, which it returns.
+// It books setup_s, the median over the set-ups of their process CPU time
+// adjusted to the reference machine speed.
+func setUp[T any](o options, rep *report, start func(i int) (T, error), close func(T)) (T, error) {
+	n := o.setups
+	if o.trace {
+		n = 1
+	}
+	probe := startProbe()
+	defer probe.stop()
+	var cpu, raw, wall []float64
+	var last T
+	for i := 0; i < n; i++ {
+		clk := startClock()
+		x, err := start(i)
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		p := probe.part(clk, startClock(), 0)
+		cpu = append(cpu, p.cpu.Seconds()/speedAdjust(p.probeUS))
+		raw = append(raw, p.cpu.Seconds())
+		wall = append(wall, p.wall.Seconds())
+		if i < n-1 {
+			close(x)
+		}
+		last = x
+	}
+	rep.set("setup_s", median(cpu), n)
+	rep.note("set-up: median %.4g s speed-adjusted process CPU (%.4g s unadjusted, %.4g s wall) over %d set-ups",
+		median(cpu), median(raw), median(wall), n)
+	return last, nil
+}
+
+// traceOverhead books trace.overhead_frac: the share of the untraced
+// window's ops_per_cpu_s the traced window's parts lose.
+func (r *report) traceOverhead(untraced float64, traced []part) {
+	r.set("trace.overhead_frac", 1-median(cpuRates(traced))/untraced, len(traced))
 }
 
 // percentile returns the nearest-rank percentile q of xs and whether at

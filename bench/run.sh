@@ -2,7 +2,7 @@
 # Builds the benchmark from this source tree and runs it. Run from the
 # repository root:
 #
-#   bash bench/run.sh --workload sweep-fleet --seed 1 --seconds 15 --trace 0
+#   bash bench/run.sh --workload sweep-fleet --seed 1 --seconds 30 --trace 0
 #
 # The build cache, the go command's config and telemetry, the binary and
 # the run's scratch files all live under .bench_build/ in the working

@@ -14,7 +14,6 @@ import (
 	"sdcgmres/internal/core"
 	"sdcgmres/internal/expt"
 	"sdcgmres/internal/fault"
-	"sdcgmres/internal/kernel"
 	"sdcgmres/internal/krylov"
 	"sdcgmres/internal/trace"
 )
@@ -50,8 +49,8 @@ func aggregateCSV(c *campaign.Compiled, recs map[string]campaign.Record) ([]byte
 }
 
 // referenceRun executes the manifest once through the local campaign
-// runner with sequential kernels, a different execution path from both
-// timed sweeps, and returns its records and aggregate CSV.
+// runner with sequential kernels, a different execution path from the
+// timed fleet, and returns its records and aggregate CSV.
 func referenceRun(ctx context.Context, c *campaign.Compiled, path string) (map[string]campaign.Record, []byte, error) {
 	j, have, err := campaign.OpenJournal(path)
 	if err != nil {
@@ -140,6 +139,10 @@ func unitSpans(events []trace.Event) []span {
 	return out
 }
 
+// unitProbeReps is how many back-to-back RunPoint/ExecuteUnitPooled pairs
+// probeUnits times per sampled unit.
+const unitProbeReps = 5
+
 // sampleUnits draws a seeded sample of n units (without replacement).
 func sampleUnits(o options, c *campaign.Compiled, n int) []campaign.Unit {
 	if n > len(c.Units) {
@@ -156,10 +159,11 @@ func sampleUnits(o options, c *campaign.Compiled, n int) []campaign.Unit {
 // probeUnits times the campaign layers below the runner on a sample of
 // the workload's units: expt.RunPoint alone, the same unit through
 // campaign.ExecuteUnitPooled (the difference is the sandbox and record
-// plumbing; each side is the fastest of reps alternating runs), and one
-// traced solve per unit split into inner-solve and outer self time from
-// core.Config.Recorder spans.
-func probeUnits(ctx context.Context, rep *report, c *campaign.Compiled, units []campaign.Unit, pool *kernel.Pool, reps int) error {
+// plumbing, from unitProbeReps back-to-back pairs), and one traced solve
+// per unit split into inner-solve and outer self time from
+// core.Config.Recorder spans. Kernels are sequential, as in the fleet.
+func probeUnits(ctx context.Context, rep *report, c *campaign.Compiled, units []campaign.Unit) error {
+	const reps = unitProbeReps
 	var runPoint, overhead, inner, outerSelf []float64
 	innerIters := 0
 	for i, u := range units {
@@ -168,7 +172,6 @@ func probeUnits(ctx context.Context, rep *report, c *campaign.Compiled, units []
 		if err != nil {
 			return err
 		}
-		cfg.Pool = pool
 		timeRunPoint := func() time.Duration {
 			t := time.Now()
 			expt.RunPoint(ctx, p, cfg, u.Site)
@@ -176,7 +179,7 @@ func probeUnits(ctx context.Context, rep *report, c *campaign.Compiled, units []
 		}
 		timeExec := func() time.Duration {
 			t := time.Now()
-			campaign.ExecuteUnitPooled(ctx, c, u, 0, nil, pool)
+			campaign.ExecuteUnitPooled(ctx, c, u, 0, nil, nil)
 			return time.Since(t)
 		}
 		// Back-to-back pairs, alternating which side runs first so warm
@@ -196,7 +199,6 @@ func probeUnits(ctx context.Context, rep *report, c *campaign.Compiled, units []
 		rec := trace.NewRecorder(0)
 		inj := fault.NewInjector(cfg.Model, fault.Site{AggregateInner: u.Site, Step: cfg.Step})
 		ccfg := p.Config(cfg.Detector, []krylov.CoeffHook{inj})
-		ccfg.Pool = pool
 		ccfg.Recorder = rec
 		if _, err := core.New(p.A, ccfg).SolveCtx(ctx, p.B, nil); err != nil {
 			return fmt.Errorf("traced solve of unit %s: %w", u.ID, err)
