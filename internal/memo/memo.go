@@ -153,11 +153,15 @@ func (c *Cache) put(key string, val []byte, warm bool) {
 	if c == nil {
 		return
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.putLocked(key, val, warm)
+}
+
+func (c *Cache) putLocked(key string, val []byte, warm bool) {
 	if int64(len(val)) > c.max {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if warm {
 		c.warmed++
 	} else {
@@ -233,12 +237,15 @@ func (c *Cache) Do(key string, fn func() ([]byte, error)) ([]byte, Outcome, erro
 		c.mu.Unlock()
 
 		cl.val, cl.err = fn()
+		// Retire the in-flight marker and store the payload in one
+		// critical section: a caller arriving in between would find
+		// neither and run fn again.
 		c.mu.Lock()
 		delete(c.inflight, key)
-		c.mu.Unlock()
 		if cl.err == nil {
-			c.Put(key, cl.val)
+			c.putLocked(key, cl.val, false)
 		}
+		c.mu.Unlock()
 		close(cl.done)
 		return cl.val, Computed, cl.err
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -106,14 +107,11 @@ func TestSingleflightCollapse(t *testing.T) {
 			vals[i] = string(v)
 		}(i)
 	}
-	// Wait until one leader is in flight, then open the gate.
-	for {
-		c.mu.Lock()
-		n := len(c.inflight)
-		c.mu.Unlock()
-		if n == 1 {
-			break
-		}
+	// Open the gate only once every other caller has joined the leader's
+	// flight; a caller that arrived after the leader finished would count
+	// as a hit, not a dedup.
+	for c.Stats().Dedups < callers-1 {
+		runtime.Gosched()
 	}
 	close(release)
 	wg.Wait()

@@ -61,7 +61,9 @@ type Config struct {
 	// Metrics receives the engine's observations (default: a fresh
 	// registry, available via Engine.Metrics).
 	Metrics *Metrics
-	// Runner executes solves (default RunSpec). Tests substitute stubs.
+	// Runner executes solves. The default runs RunSpec's solve on an
+	// operator from the engine's operator cache, so jobs that repeat a
+	// matrix build it once. Tests substitute stubs.
 	Runner Runner
 	// TraceCapacity, when positive, gives every job a flight recorder
 	// ring of that many events, queryable via JobTrace while the job runs
@@ -122,9 +124,6 @@ func (c Config) withDefaults() Config {
 	if c.Metrics == nil {
 		c.Metrics = NewMetrics()
 	}
-	if c.Runner == nil {
-		c.Runner = RunSpec
-	}
 	return c
 }
 
@@ -154,6 +153,10 @@ type Engine struct {
 	// Shutdown after the drain completes.
 	pools []*kernel.Pool
 
+	// ops caches built operators for the default runner; nil when the
+	// config supplies its own Runner.
+	ops *opCache
+
 	mu   sync.Mutex
 	jobs map[string]*Job
 	done []string // terminal job IDs in completion order, for eviction
@@ -169,6 +172,10 @@ func NewEngine(cfg Config) *Engine {
 		baseCtx:    ctx,
 		hardCancel: cancel,
 		jobs:       make(map[string]*Job),
+	}
+	if cfg.Runner == nil {
+		e.ops = newOpCache(maxOperatorBytes, cfg.Metrics)
+		e.cfg.Runner = e.runCached
 	}
 	if cfg.QoS != nil {
 		sched, err := qos.New[*Job](*cfg.QoS, qos.Options[*Job]{

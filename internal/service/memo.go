@@ -26,21 +26,7 @@ import (
 // it computes.
 func SpecDigest(spec *JobSpec) string {
 	h := sha256.New()
-	m := spec.Matrix
-	fmt.Fprintf(h, "v1|%s|", m.Kind)
-	switch m.Kind {
-	case "mm":
-		sum := sha256.Sum256([]byte(m.MM))
-		fmt.Fprintf(h, "mm=%x|", sum[:])
-	case "convdiff":
-		cx, cy := m.CX, m.CY
-		if cx == 0 && cy == 0 {
-			cx, cy = 10, -5 // BuildMatrix's default convection field
-		}
-		fmt.Fprintf(h, "n=%d|cx=%g|cy=%g|", m.N, cx, cy)
-	default:
-		fmt.Fprintf(h, "n=%d|", m.N)
-	}
+	io.WriteString(h, "v1|"+matrixKey(spec.Matrix))
 	s := spec.Solver
 	ortho := s.Ortho
 	if ortho == "" {

@@ -188,6 +188,28 @@ func TestSpecDigestNormalization(t *testing.T) {
 	}
 }
 
+// TestSpecDigestStable pins digests of every matrix kind: memo keys and
+// store-warmed caches outlive a process, so the canonical form must not
+// drift.
+func TestSpecDigestStable(t *testing.T) {
+	mm := "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 4.0\n2 2 4.0\n"
+	cases := []struct {
+		spec JobSpec
+		want string
+	}{
+		{PoissonJob(48), "1adea3ab0b45d32e"},
+		{CircuitJob(2000), "1e98460dd7e6dd3f"},
+		{ConvDiffJob(48), "9c68298032546224"},
+		{JobSpec{Matrix: MatrixSpec{Kind: "convdiff", N: 48, CX: 1, CY: 2}}, "8c71b10337232ff9"},
+		{MatrixMarketJob(mm), "3e54832b702d504c"},
+	}
+	for _, c := range cases {
+		if got := SpecDigest(&c.spec); got != c.want {
+			t.Errorf("%s: digest %s, want %s", c.spec.Matrix.Kind, got, c.want)
+		}
+	}
+}
+
 // TestMemoTraceEvent requires a memo-served job to carry a memo-hit event
 // in its own trace.
 func TestMemoTraceEvent(t *testing.T) {

@@ -60,6 +60,10 @@ type Metrics struct {
 	// StoreIngestErrors counts records the results store failed to absorb
 	// (the journal stays authoritative; these flag warehouse divergence).
 	StoreIngestErrors Counter
+	// Operator cache activity of the engine's default runner: matrices
+	// built on a miss, and jobs that reused a cached operator.
+	MatrixBuilds    Counter
+	MatrixCacheHits Counter
 
 	mu    sync.Mutex
 	solve map[string]*Histogram // per solver kind
@@ -136,6 +140,8 @@ func (m *Metrics) Snapshot() map[string]int64 {
 		"campaign_units_memoized": m.CampaignUnitsMemoized.Value(),
 		"campaign_units_failed":   m.CampaignUnitsFailed.Value(),
 		"store_ingest_errors":     m.StoreIngestErrors.Value(),
+		"matrix_builds":           m.MatrixBuilds.Value(),
+		"matrix_cache_hits":       m.MatrixCacheHits.Value(),
 	}
 }
 
@@ -165,6 +171,8 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 		{"solved_campaign_units_memoized_total", "Campaign units satisfied by the cross-campaign solve cache.", &m.CampaignUnitsMemoized},
 		{"solved_campaign_units_failed_total", "Campaign units journaled as failed or timed out.", &m.CampaignUnitsFailed},
 		{"solved_store_ingest_errors_total", "Records the results store failed to absorb.", &m.StoreIngestErrors},
+		{"solved_matrix_builds_total", "Job operators built because the operator cache missed.", &m.MatrixBuilds},
+		{"solved_matrix_cache_hits_total", "Jobs that solved on a cached operator.", &m.MatrixCacheHits},
 	}
 	for _, c := range counters {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.c.Value())

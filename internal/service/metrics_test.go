@@ -87,7 +87,7 @@ func TestSnapshotKeys(t *testing.T) {
 	if snap["jobs_completed"] != 1 {
 		t.Fatalf("snapshot: %v", snap)
 	}
-	if len(snap) != 19 {
-		t.Fatalf("expected 19 counters, got %d", len(snap))
+	if len(snap) != 21 {
+		t.Fatalf("expected 21 counters, got %d", len(snap))
 	}
 }

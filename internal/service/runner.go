@@ -100,10 +100,7 @@ func BuildMatrix(m MatrixSpec) (*sparse.CSR, string, error) {
 	case "circuit":
 		return gallery.CircuitDCOP(gallery.DefaultCircuitDCOPConfig(m.N)), fmt.Sprintf("circuit-dcop-%d", m.N), nil
 	case "convdiff":
-		cx, cy := m.CX, m.CY
-		if cx == 0 && cy == 0 {
-			cx, cy = 10, -5
-		}
+		cx, cy := m.convection()
 		return gallery.ConvectionDiffusion2D(m.N, cx, cy), fmt.Sprintf("convdiff-%dx%d", m.N, m.N), nil
 	case "mm":
 		a, err := sparse.ReadMatrixMarket(strings.NewReader(m.MM))
@@ -118,14 +115,18 @@ func BuildMatrix(m MatrixSpec) (*sparse.CSR, string, error) {
 	return nil, "", fmt.Errorf("service: unknown matrix kind %q", m.Kind)
 }
 
-// RunSpec is the engine's default Runner: build the system, solve it under
-// the job's context, and report the canonical record. The caller (the
-// worker pool) provides panic isolation and the wall-clock budget via the
-// sandbox, so RunSpec itself stays straight-line. A non-nil tr captures
-// the solve's full flight-recorder stream (residuals, coefficients,
-// detector verdicts, fault strikes, sandbox outcomes). A non-nil pool
-// runs the solver's kernels on persistent workers; records are bitwise
-// identical for every pool width.
+// RunSpec builds the system, solves it under the job's context, and
+// reports the canonical record. The caller (the worker pool) provides
+// panic isolation and the wall-clock budget via the sandbox, so RunSpec
+// itself stays straight-line. A non-nil tr captures the solve's full
+// flight-recorder stream (residuals, coefficients, detector verdicts,
+// fault strikes, sandbox outcomes). A non-nil pool runs the solver's
+// kernels on persistent workers; records are bitwise identical for every
+// pool width.
+//
+// RunSpec always builds the matrix afresh; the engine's default runner
+// runs the same solve on an operator from its cache, and RunSpec is the
+// uncached reference its records must equal.
 func RunSpec(ctx context.Context, spec *JobSpec, tr *trace.Recorder, pool *kernel.Pool) (*SolveRecord, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -134,6 +135,25 @@ func RunSpec(ctx context.Context, spec *JobSpec, tr *trace.Recorder, pool *kerne
 	if err != nil {
 		return nil, err
 	}
+	return solveSpec(ctx, spec, a, name, tr, pool)
+}
+
+// runCached is the engine's default Runner: RunSpec with the operator
+// taken from the engine's operator cache.
+func (e *Engine) runCached(ctx context.Context, spec *JobSpec, tr *trace.Recorder, pool *kernel.Pool) (*SolveRecord, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	a, name, err := e.ops.matrix(spec.Matrix)
+	if err != nil {
+		return nil, err
+	}
+	return solveSpec(ctx, spec, a, name, tr, pool)
+}
+
+// solveSpec solves A x = A·1 as a validated spec describes. A is only
+// read, so one operator may serve many concurrent solves.
+func solveSpec(ctx context.Context, spec *JobSpec, a *sparse.CSR, name string, tr *trace.Recorder, pool *kernel.Pool) (*SolveRecord, error) {
 	b := make([]float64, a.Rows())
 	a.MatVec(b, vec.Ones(a.Cols()))
 
@@ -153,6 +173,7 @@ func RunSpec(ctx context.Context, spec *JobSpec, tr *trace.Recorder, pool *kerne
 
 	start := time.Now()
 	var rec *SolveRecord
+	var err error
 	switch spec.SolverKind() {
 	case "ftgmres":
 		rec, err = runFTGMRES(ctx, spec, a, name, b, hooks, tr, pool)

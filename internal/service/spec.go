@@ -13,6 +13,7 @@
 package service
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"time"
 
@@ -53,6 +54,32 @@ type MatrixSpec struct {
 	// 10, -5 when both zero).
 	CX float64 `json:"cx,omitempty"`
 	CY float64 `json:"cy,omitempty"`
+}
+
+// convection returns the convection field of a "convdiff" spec: CX, CY,
+// or the default (10, -5) when both are zero.
+func (m MatrixSpec) convection() (cx, cy float64) {
+	if m.CX == 0 && m.CY == 0 {
+		return 10, -5
+	}
+	return m.CX, m.CY
+}
+
+// matrixKey is the canonical form of a validated matrix spec: two specs
+// share a key exactly when BuildMatrix makes the same operator from them.
+// Generators key by kind and size (convdiff with its convection field
+// resolved), inline Matrix Market payloads by their sha256. It keys the
+// engine's operator cache and is the matrix part of SpecDigest.
+func matrixKey(m MatrixSpec) string {
+	switch m.Kind {
+	case "mm":
+		sum := sha256.Sum256([]byte(m.MM))
+		return fmt.Sprintf("mm|mm=%x|", sum[:])
+	case "convdiff":
+		cx, cy := m.convection()
+		return fmt.Sprintf("convdiff|n=%d|cx=%g|cy=%g|", m.N, cx, cy)
+	}
+	return fmt.Sprintf("%s|n=%d|", m.Kind, m.N)
 }
 
 // SolverSpec selects the solver and its resilience configuration.

@@ -49,44 +49,63 @@ func (b *Builder) Add(i, j int, v float64) {
 // Len returns the number of accumulated triplets.
 func (b *Builder) Len() int { return len(b.entries) }
 
-// Build assembles the CSR matrix, summing duplicates.
+// Build assembles the CSR matrix, summing duplicates in insertion order.
+//
+// Assembly is a stable counting sort by column and then by row, so it
+// costs O(nnz + rows + cols) whatever the row lengths; Matrix Market
+// payloads are untrusted, and no input can make it quadratic.
 func (b *Builder) Build() *CSR {
-	ent := make([]Triplet, len(b.entries))
-	copy(ent, b.entries)
-	sort.SliceStable(ent, func(a, c int) bool {
-		if ent[a].Row != ent[c].Row {
-			return ent[a].Row < ent[c].Row
-		}
-		return ent[a].Col < ent[c].Col
-	})
-	// Merge duplicates in place.
-	w := 0
-	for r := 0; r < len(ent); r++ {
-		if w > 0 && ent[w-1].Row == ent[r].Row && ent[w-1].Col == ent[r].Col {
-			ent[w-1].Val += ent[r].Val
-			continue
-		}
-		ent[w] = ent[r]
-		w++
+	ent := b.entries
+	next := make([]int, max(b.rows, b.cols)+1)
+	for _, e := range ent {
+		next[e.Col+1]++
 	}
-	ent = ent[:w]
+	for j := 0; j < b.cols; j++ {
+		next[j+1] += next[j]
+	}
+	byCol := make([]Triplet, len(ent))
+	for _, e := range ent {
+		byCol[next[e.Col]] = e
+		next[e.Col]++
+	}
 
-	m := &CSR{
-		rows:   b.rows,
-		cols:   b.cols,
-		rowPtr: make([]int, b.rows+1),
-		colIdx: make([]int, len(ent)),
-		val:    make([]float64, len(ent)),
-	}
-	for i, e := range ent {
-		m.rowPtr[e.Row+1]++
-		m.colIdx[i] = e.Col
-		m.val[i] = e.Val
+	rowPtr := make([]int, b.rows+1)
+	for _, e := range ent {
+		rowPtr[e.Row+1]++
 	}
 	for i := 0; i < b.rows; i++ {
-		m.rowPtr[i+1] += m.rowPtr[i]
+		rowPtr[i+1] += rowPtr[i]
 	}
-	return m
+	copy(next, rowPtr[:b.rows])
+	colIdx := make([]int, len(ent))
+	val := make([]float64, len(ent))
+	for _, e := range byCol {
+		k := next[e.Row]
+		colIdx[k], val[k] = e.Col, e.Val
+		next[e.Row]++
+	}
+
+	// Sum duplicates in place: within a row they are now adjacent, in
+	// insertion order.
+	w := 0
+	for i := 0; i < b.rows; i++ {
+		lo, hi := rowPtr[i], rowPtr[i+1]
+		rowPtr[i] = w
+		for k := lo; k < hi; k++ {
+			if w > rowPtr[i] && colIdx[w-1] == colIdx[k] {
+				val[w-1] += val[k]
+				continue
+			}
+			colIdx[w], val[w] = colIdx[k], val[k]
+			w++
+		}
+	}
+	rowPtr[b.rows] = w
+	if w < len(colIdx) { // drop the merged duplicates' storage
+		colIdx = append(make([]int, 0, w), colIdx[:w]...)
+		val = append(make([]float64, 0, w), val[:w]...)
+	}
+	return &CSR{rows: b.rows, cols: b.cols, rowPtr: rowPtr, colIdx: colIdx, val: val}
 }
 
 // CSR is a compressed-sparse-row matrix. It is immutable after assembly;

@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -78,6 +79,132 @@ func TestBuilderUnsortedInput(t *testing.T) {
 			t.Fatalf("Dense = %v, want %v", got, want)
 		}
 	}
+}
+
+// buildBySort is the comparison-sort assembly Builder.Build replaced: a
+// stable sort by (row, col), then an in-order duplicate merge. It stays
+// here as the reference the counting-sort assembly must match bit for bit.
+func buildBySort(b *Builder) *CSR {
+	ent := make([]Triplet, len(b.entries))
+	copy(ent, b.entries)
+	sort.SliceStable(ent, func(a, c int) bool {
+		if ent[a].Row != ent[c].Row {
+			return ent[a].Row < ent[c].Row
+		}
+		return ent[a].Col < ent[c].Col
+	})
+	w := 0
+	for r := 0; r < len(ent); r++ {
+		if w > 0 && ent[w-1].Row == ent[r].Row && ent[w-1].Col == ent[r].Col {
+			ent[w-1].Val += ent[r].Val
+			continue
+		}
+		ent[w] = ent[r]
+		w++
+	}
+	ent = ent[:w]
+	m := &CSR{
+		rows:   b.rows,
+		cols:   b.cols,
+		rowPtr: make([]int, b.rows+1),
+		colIdx: make([]int, len(ent)),
+		val:    make([]float64, len(ent)),
+	}
+	for i, e := range ent {
+		m.rowPtr[e.Row+1]++
+		m.colIdx[i] = e.Col
+		m.val[i] = e.Val
+	}
+	for i := 0; i < b.rows; i++ {
+		m.rowPtr[i+1] += m.rowPtr[i]
+	}
+	return m
+}
+
+// sameBits reports whether two CSRs have identical shape, structure and
+// value bits.
+func sameBits(a, b *CSR) bool {
+	if a.rows != b.rows || a.cols != b.cols || len(a.rowPtr) != len(b.rowPtr) ||
+		len(a.colIdx) != len(b.colIdx) || len(a.val) != len(b.val) {
+		return false
+	}
+	for i := range a.rowPtr {
+		if a.rowPtr[i] != b.rowPtr[i] {
+			return false
+		}
+	}
+	for k := range a.colIdx {
+		if a.colIdx[k] != b.colIdx[k] || math.Float64bits(a.val[k]) != math.Float64bits(b.val[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// randomBuilder draws triplets on a small coordinate range, so duplicates
+// are common, with magnitudes spread wide enough that summing them in any
+// other order changes the result's bits.
+func randomBuilder(rng *rand.Rand) *Builder {
+	r, c := rng.Intn(40), rng.Intn(40)
+	b := NewBuilder(r, c)
+	if r == 0 || c == 0 {
+		return b
+	}
+	n := rng.Intn(4 * (r + c))
+	for k := 0; k < n; k++ {
+		i, j := rng.Intn(r), rng.Intn(c)
+		if rng.Intn(3) == 0 { // crowd one row
+			i = 0
+		}
+		b.Add(i, j, rng.NormFloat64()*math.Pow(10, float64(rng.Intn(33)-16)))
+	}
+	return b
+}
+
+func TestBuildMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		b := randomBuilder(rng)
+		got, want := b.Build(), buildBySort(b)
+		if !sameBits(got, want) {
+			t.Fatalf("trial %d (%dx%d, %d triplets): counting-sort assembly differs from the sort reference",
+				trial, b.rows, b.cols, b.Len())
+		}
+		if cap(got.colIdx) != got.NNZ() || cap(got.val) != got.NNZ() {
+			t.Fatalf("trial %d: storage capacity %d/%d for nnz %d", trial, cap(got.colIdx), cap(got.val), got.NNZ())
+		}
+	}
+}
+
+// BenchmarkBuild assembles a 2000-row matrix whose rows hold up to a few
+// hundred unsorted entries with duplicates, by the counting sort and by
+// the comparison-sort reference.
+func BenchmarkBuild(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	const n = 2000
+	bld := NewBuilder(n, n)
+	for i := 0; i < n; i++ {
+		deg := 2 + rng.Intn(8)
+		if i%50 == 0 {
+			deg = 400 // a few dense rows, like circuit supply nets
+		}
+		for k := 0; k < deg; k++ {
+			j := rng.Intn(n)
+			bld.Add(i, j, 1)
+			bld.Add(j, i, 1)
+			bld.Add(i, i, -1)
+		}
+	}
+	b.Run("counting", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			bld.Build()
+		}
+	})
+	b.Run("sort", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			buildBySort(bld)
+		}
+	})
 }
 
 func TestMatVecSmall(t *testing.T) {
