@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"sdcgmres/internal/detect"
@@ -299,10 +300,119 @@ func (s *Solver) Solve(b, x0 []float64) (*Result, error) {
 // per the sandbox contract, so cancellation never waits on a hung inner
 // solve.
 func (s *Solver) SolveCtx(ctx context.Context, b, x0 []float64) (*Result, error) {
+	return s.solve(ctx, b, x0, nil, 0)
+}
+
+// Tape records a nested solve's first outer cycle: the outer FGMRES tape,
+// plus what each outer iteration's inner solve left behind. A solve known to
+// agree with the recorded one for its first k outer iterations can restore
+// them from the tape instead of recomputing them (SolveResume). A tape is
+// read-only once recorded, so any number of solves may resume from it at
+// once.
+type Tape struct {
+	outer krylov.Tape
+	inner []tapeInner // one per recorded outer iteration
+}
+
+// tapeInner is the state after one recorded outer iteration's inner solve.
+type tapeInner struct {
+	stats  Stats   // cumulative solver stats
+	maxAbs float64 // largest |h| of the inner solves so far (+Inf: see PrefixMaxAbs)
+	coeffs int     // Hessenberg coefficients the inner solves so far produced
+}
+
+// Len returns the number of outer iterations the tape holds.
+func (t *Tape) Len() int { return t.outer.Len() }
+
+// PrefixMaxAbs returns the largest |h| among the Hessenberg coefficients the
+// first k recorded inner solves produced (1 ≤ k ≤ Len), or +Inf when one of
+// them was not finite or an inner solve's sandbox failed. A detector whose
+// bound is at least this would have passed every one of them.
+func (t *Tape) PrefixMaxAbs(k int) float64 { return t.inner[k-1].maxAbs }
+
+// note appends the state an inner solve left behind: the cumulative stats,
+// and its coefficient tally when its guests all finished (ok), which is
+// when the tally is safe to read.
+func (t *Tape) note(stats Stats, tally *coeffTally, ok bool) {
+	in := tapeInner{stats: stats}
+	if n := len(t.inner); n > 0 {
+		in.maxAbs, in.coeffs = t.inner[n-1].maxAbs, t.inner[n-1].coeffs
+	}
+	if ok {
+		in.maxAbs = max(in.maxAbs, tally.max)
+		in.coeffs += tally.n
+	} else {
+		in.maxAbs = math.Inf(1)
+	}
+	t.inner = append(t.inner, in)
+}
+
+// coeffTally is an inner-solve hook that counts the coefficients passing
+// through it and keeps the largest |h|, taking a non-finite one as +Inf.
+type coeffTally struct {
+	n   int
+	max float64
+}
+
+// Observe implements krylov.CoeffHook.
+func (c *coeffTally) Observe(_ krylov.CoeffContext, h float64) (float64, error) {
+	c.n++
+	a := math.Abs(h)
+	if math.IsNaN(a) {
+		a = math.Inf(1)
+	}
+	c.max = max(c.max, a)
+	return h, nil
+}
+
+// SolveRecord is s.SolveCtx(ctx, b, nil) that also records the solve's
+// first outer cycle on a tape. Only the FGMRES outer iteration can be taped.
+func SolveRecord(ctx context.Context, s *Solver, b []float64) (*Result, *Tape, error) {
+	t := &Tape{}
+	res, err := s.solve(ctx, b, nil, t, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, t, nil
+}
+
+// SolveResume is s.SolveCtx(ctx, b, nil) for a solve whose first k outer
+// iterations are the ones t recorded: it restores them from the tape and
+// runs only iterations k+1 onward. The result is bit-identical to solving
+// from scratch.
+//
+// The caller vouches for the agreement. t must come from SolveRecord on a
+// solver with the same operator, b and configuration, except that s may
+// add inner hooks and a detector that leave the first k inner solves as
+// they were: hooks that alter none of their coefficients, and a detector
+// that would pass every one (PrefixMaxAbs(k) within its bound). s must
+// have no Recorder or OnOuter, which would miss the restored iterations.
+// k must leave the recorded solve still iterating: 1 ≤ k < t.Len(). The
+// detector's own counters see only the iterations the solve runs; the
+// result's Stats include the restored ones.
+func SolveResume(ctx context.Context, s *Solver, b []float64, t *Tape, k int) (*Result, error) {
+	if k < 1 || k >= t.Len() {
+		return nil, fmt.Errorf("core: cannot resume at outer iteration %d from a %d-iteration tape", k, t.Len())
+	}
+	return s.solve(ctx, b, nil, t, k)
+}
+
+// solve is the nested solve. With t nil it is plain SolveCtx; with k == 0
+// it records its first outer cycle into t; with k > 0 it resumes from t
+// after k outer iterations.
+func (s *Solver) solve(ctx context.Context, b, x0 []float64, t *Tape, k int) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if t != nil && s.cfg.Outer != OuterFGMRES {
+		return nil, fmt.Errorf("core: only an FGMRES outer iteration can be taped, not %v", s.cfg.Outer)
+	}
 	stats := &Stats{}
+	checked := 0 // coefficients of restored inner solves, which s.det never saw
+	if k > 0 {
+		*stats = t.inner[k-1].stats
+		checked = t.inner[k-1].coeffs
+	}
 	if s.det != nil {
 		s.det.Reset()
 	}
@@ -326,6 +436,7 @@ func (s *Solver) SolveCtx(ctx context.Context, b, x0 []float64) (*Result, error)
 		}
 	}
 
+	taping := t != nil && k == 0 // only the first outer cycle is taped
 	provider := func(j int) krylov.Preconditioner {
 		return krylov.PrecondFunc(func(z, q []float64) error {
 			// The sandbox never lets inner failures escape; the only error
@@ -334,7 +445,13 @@ func (s *Solver) SolveCtx(ctx context.Context, b, x0 []float64) (*Result, error)
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			s.innerSolve(ctx, j, z, q, stats)
+			if !taping {
+				s.innerSolve(ctx, j, z, q, stats, nil)
+				return ctx.Err()
+			}
+			tally := &coeffTally{}
+			ok := s.innerSolve(ctx, j, z, q, stats, tally)
+			t.note(*stats, tally, ok)
 			return ctx.Err()
 		})
 	}
@@ -354,7 +471,7 @@ func (s *Solver) SolveCtx(ctx context.Context, b, x0 []float64) (*Result, error)
 				OnIteration: onOuter,
 			})
 		default:
-			res, err = krylov.FGMRES(s.a, b, x, provider, krylov.FGMRESOptions{
+			opts := krylov.FGMRESOptions{
 				Options: krylov.Options{
 					MaxIter:      s.cfg.MaxOuter,
 					Tol:          s.cfg.OuterTol,
@@ -364,8 +481,17 @@ func (s *Solver) SolveCtx(ctx context.Context, b, x0 []float64) (*Result, error)
 				},
 				ExplicitResidual: true,
 				OnIteration:      onOuter,
-			})
+			}
+			switch {
+			case cycle > 0 || t == nil:
+				res, err = krylov.FGMRESCtx(ctx, s.a, b, x, provider, opts)
+			case k > 0:
+				res, err = krylov.FGMRESResume(ctx, s.a, b, x, provider, opts, &t.outer, k)
+			default:
+				res, err = krylov.FGMRESRecord(ctx, s.a, b, x, provider, opts, &t.outer)
+			}
 		}
+		taping = false
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return nil, fmt.Errorf("core: solve canceled: %w", errors.Join(krylov.ErrCanceled, cerr))
@@ -389,7 +515,7 @@ func (s *Solver) SolveCtx(ctx context.Context, b, x0 []float64) (*Result, error)
 	if s.det != nil {
 		ds := s.det.Stats()
 		stats.Detections = ds.Violations
-		stats.DetectorChecked = ds.Checked
+		stats.DetectorChecked = checked + ds.Checked
 	}
 	out.Stats = *stats
 	return out, nil
@@ -399,7 +525,10 @@ func (s *Solver) SolveCtx(ctx context.Context, b, x0 []float64) (*Result, error)
 // sandbox, honouring the detector response policy. It always leaves a
 // usable vector in z: the inner result when the sandbox reports success,
 // or q itself (identity preconditioning) when the guest failed outright.
-func (s *Solver) innerSolve(ctx context.Context, j int, z, q []float64, stats *Stats) {
+// A non-nil tally observes every coefficient after the detector; innerSolve
+// reports false when a guest failed, which may leave it still running and
+// the tally unsafe to read.
+func (s *Solver) innerSolve(ctx context.Context, j int, z, q []float64, stats *Stats, tally *coeffTally) bool {
 	onErr := krylov.DetectRecord
 	if s.cfg.Detector.Enabled && s.cfg.Detector.Response != ResponseWarn {
 		onErr = krylov.DetectHalt
@@ -408,10 +537,13 @@ func (s *Solver) innerSolve(ctx context.Context, j int, z, q []float64, stats *S
 	rec.InnerStart(j)
 	innerIters := 0
 	defer func() { rec.InnerEnd(j, innerIters) }()
-	hooks := make([]krylov.CoeffHook, 0, len(s.cfg.Inner.Hooks)+1)
+	hooks := make([]krylov.CoeffHook, 0, len(s.cfg.Inner.Hooks)+2)
 	hooks = append(hooks, s.cfg.Inner.Hooks...)
 	if s.det != nil {
 		hooks = append(hooks, detect.Traced(s.det, rec))
+	}
+	if tally != nil {
+		hooks = append(hooks, tally)
 	}
 	opts := krylov.Options{
 		MaxIter:        s.cfg.Inner.Iterations,
@@ -456,7 +588,7 @@ func (s *Solver) innerSolve(ctx context.Context, j int, z, q []float64, stats *S
 		if !rep.Usable() || inner == nil {
 			stats.SandboxFailures++
 			copy(z, q) // reliable fallback: identity preconditioning
-			return
+			return false
 		}
 		stats.InnerIterations += inner.Iterations
 		innerIters += inner.Iterations
@@ -478,9 +610,10 @@ func (s *Solver) innerSolve(ctx context.Context, j int, z, q []float64, stats *S
 		// the fault's cost at one wasted direction.
 		if !vec.AllFinite(inner.X) || vec.Norm2(inner.X)*s.aNormF < 1e-8*vec.Norm2(q) {
 			copy(z, q)
-			return
+			return true
 		}
 		copy(z, inner.X)
-		return
+		return true
 	}
+	return true
 }

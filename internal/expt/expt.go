@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 
 	"sdcgmres/internal/core"
+	"sdcgmres/internal/detect"
 	"sdcgmres/internal/fault"
 	"sdcgmres/internal/gallery"
 	"sdcgmres/internal/kernel"
@@ -23,7 +24,10 @@ import (
 
 // Problem is a calibrated experiment instance: a linear system plus nested
 // solver parameters chosen so the failure-free outer iteration count lands
-// where the paper's does (9 for Poisson, 28 for mult_dcop_03).
+// where the paper's does (9 for Poisson, 28 for mult_dcop_03). Faulted runs
+// on a problem built by Calibrate resume from its failure-free solve, which
+// stays valid only while A, B and the solver parameters do: change none of
+// them afterwards.
 type Problem struct {
 	// Name labels the problem in reports.
 	Name string
@@ -42,6 +46,11 @@ type Problem struct {
 	// (Section VI-D). The paper's figures use Approach 1 — the plain
 	// triangular solve — which is also the default here.
 	InnerPolicy krylov.LSQPolicy
+
+	// tape is Calibrate's failure-free verification solve, from which
+	// faulted runs resume (see resumeAt); nil for a problem built without
+	// Calibrate. Read-only once set.
+	tape *core.Tape
 }
 
 // Config builds a core.Config for this problem with the given detector.
@@ -96,7 +105,7 @@ func Calibrate(name string, a *sparse.CSR, innerIters, targetOuter int) (*Proble
 		OuterTol:   tol,
 		MaxOuter:   4*targetOuter + 20,
 	}
-	ff, err := p.FailureFree()
+	ff, tape, err := p.failureFree()
 	if err != nil {
 		return nil, err
 	}
@@ -104,21 +113,29 @@ func Calibrate(name string, a *sparse.CSR, innerIters, targetOuter int) (*Proble
 		return nil, fmt.Errorf("expt: calibration verification got %d outer iterations, want %d", ff, targetOuter)
 	}
 	p.FailureFreeOuter = ff
+	p.tape = tape
 	return p, nil
 }
 
 // FailureFree runs the problem without faults and returns the outer
 // iteration count.
 func (p *Problem) FailureFree() (int, error) {
+	ff, _, err := p.failureFree()
+	return ff, err
+}
+
+// failureFree runs the problem without faults and returns the outer
+// iteration count and a tape of the solve.
+func (p *Problem) failureFree() (int, *core.Tape, error) {
 	s := core.New(p.A, p.Config(core.DetectorConfig{}, nil))
-	res, err := s.Solve(p.B, nil)
+	res, tape, err := core.SolveRecord(context.Background(), s, p.B)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	if !res.Converged {
-		return 0, fmt.Errorf("expt: failure-free solve did not converge (residual %.3g)", res.FinalResidual)
+		return 0, nil, fmt.Errorf("expt: failure-free solve did not converge (residual %.3g)", res.FinalResidual)
 	}
-	return res.Stats.OuterIterations, nil
+	return res.Stats.OuterIterations, tape, nil
 }
 
 // PoissonProblem builds and calibrates the paper's SPD problem at grid size
@@ -224,24 +241,35 @@ func Sweep(ctx context.Context, p *Problem, cfg SweepConfig) []SweepPoint {
 
 // RunPoint executes a single faulted experiment: one SDC at the given
 // aggregate inner iteration under cfg's fault model and detector. It is the
-// unit of work both Sweep and the campaign engine execute, so one-shot and
-// journaled campaigns produce identical records for identical sites.
+// unit of work Sweep, MonteCarlo and the campaign engine execute, so one-shot
+// and journaled campaigns produce identical records for identical sites.
+//
+// A run is the failure-free solve bit for bit until its fault strikes, so
+// when p was built by Calibrate the run resumes from the failure-free tape
+// after the inner solves wholly before the faulted one, instead of
+// recomputing them (see resumeAt). The point is the same either way.
 func RunPoint(ctx context.Context, p *Problem, cfg SweepConfig, aggregate int) SweepPoint {
+	pt, _ := runPoint(ctx, p, cfg, aggregate)
+	return pt
+}
+
+// runPoint is RunPoint that also returns the nested solve's result (nil
+// when the solve failed or was canceled).
+func runPoint(ctx context.Context, p *Problem, cfg SweepConfig, aggregate int) (SweepPoint, *core.Result) {
 	inj := fault.NewInjector(cfg.Model, fault.Site{AggregateInner: aggregate, Step: cfg.Step})
 	ccfg := p.Config(cfg.Detector, []krylov.CoeffHook{inj})
 	ccfg.Pool = cfg.Pool
-	s := core.New(p.A, ccfg)
-	res, err := s.SolveCtx(ctx, p.B, nil)
+	res, err := p.solve(ctx, core.New(p.A, ccfg), aggregate)
 	pt := SweepPoint{AggregateInner: aggregate}
 	if ctx.Err() != nil {
 		// Canceled mid-experiment: report the site as not run.
-		return SweepPoint{}
+		return SweepPoint{}, nil
 	}
 	if err != nil {
 		// Loud failure (e.g. rank deficiency): recorded as non-converged at
 		// the cap — visible, not silent.
 		pt.OuterIters = p.MaxOuter
-		return pt
+		return pt, nil
 	}
 	pt.OuterIters = res.Stats.OuterIterations
 	pt.Converged = res.Converged
@@ -253,8 +281,43 @@ func RunPoint(ctx context.Context, p *Problem, cfg SweepConfig, aggregate int) S
 	if !res.Converged {
 		pt.OuterIters = p.MaxOuter
 	}
-	return pt
+	return pt, res
 }
+
+// solve runs s on p's system for a run whose one fault lies at the given
+// aggregate inner iteration: resumed from p's failure-free tape when
+// resumeAt allows it, from scratch otherwise.
+func (p *Problem) solve(ctx context.Context, s *core.Solver, aggregate int) (*core.Result, error) {
+	if k := p.resumeAt(s, aggregate); k > 0 {
+		return core.SolveResume(ctx, s, p.B, p.tape, k)
+	}
+	return s.SolveCtx(ctx, p.B, nil)
+}
+
+// resumeAt returns how many outer iterations of p's failure-free tape a
+// solve by s, faulted at the given aggregate inner iteration, can restore
+// instead of recompute: one per inner solve wholly before the faulted one.
+// It returns 0 — solve from scratch — when p has no tape, when s has a
+// Recorder or OnOuter that would miss the restored iterations, or when s's
+// detector would have flagged one of their coefficients (so the tape is not
+// what s would have computed).
+func (p *Problem) resumeAt(s *core.Solver, aggregate int) int {
+	k := (aggregate - 1) / p.InnerIters
+	if p.tape == nil || k < 1 || k >= p.tape.Len() {
+		return 0
+	}
+	if cfg := s.Config(); cfg.Recorder != nil || cfg.OnOuter != nil {
+		return 0
+	}
+	if det := s.Detector(); det != nil && !(p.tape.PrefixMaxAbs(k) <= detectorBound(det)) {
+		return 0
+	}
+	return k
+}
+
+// detectorBound is the bound resumeAt screens the tape's coefficients
+// against. Tests lower it to force the from-scratch path.
+var detectorBound = (*detect.Detector).Bound
 
 // solutionWrong checks the converged solution against the known truth
 // (x = 1 since B = A·1): a silent failure is a residual that passed the

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -11,7 +12,6 @@ import (
 
 	"sdcgmres/internal/core"
 	"sdcgmres/internal/fault"
-	"sdcgmres/internal/krylov"
 )
 
 // MCConfig parameterizes a randomized SDC campaign — an extension beyond
@@ -143,9 +143,7 @@ func MonteCarlo(p *Problem, cfg MCConfig) MCResult {
 					return
 				}
 				tr := trials[i]
-				inj := fault.NewInjector(tr.model, tr.site)
-				s := core.New(p.A, p.Config(cfg.Detector, []krylov.CoeffHook{inj}))
-				r, err := s.Solve(p.B, nil)
+				pt := RunPoint(context.Background(), p, SweepConfig{Model: tr.model, Step: tr.site.Step, Detector: cfg.Detector}, tr.site.AggregateInner)
 
 				mu.Lock()
 				g := res.ByModel[tr.family]
@@ -155,11 +153,11 @@ func MonteCarlo(p *Problem, cfg MCConfig) MCResult {
 				}
 				for _, grp := range []*MCGroup{g, &res.Overall} {
 					grp.Trials++
-					if err != nil || !r.Converged {
+					if !pt.Converged {
 						grp.NotConverged++
 						grp.ExtraOuter = append(grp.ExtraOuter, p.MaxOuter-p.FailureFreeOuter)
 					} else {
-						extra := r.Stats.OuterIterations - p.FailureFreeOuter
+						extra := pt.OuterIters - p.FailureFreeOuter
 						if extra < 0 {
 							extra = 0
 						}
@@ -167,11 +165,11 @@ func MonteCarlo(p *Problem, cfg MCConfig) MCResult {
 						if extra == 0 {
 							grp.NoEffect++
 						}
-						if solutionWrong(p, r.X) {
+						if pt.WrongAnswer {
 							grp.SilentFailures++
 						}
 					}
-					if err == nil && r.Stats.Detections > 0 {
+					if pt.Detections > 0 {
 						grp.Detected++
 					}
 				}

@@ -227,12 +227,16 @@ func TrueResidualPool(p *kernel.Pool, a Operator, b, x []float64) float64 {
 	if err := checkSystem(a, b, x); err != nil {
 		panic(fmt.Sprintf("krylov.TrueResidual: %v", err))
 	}
-	r := make([]float64, a.Rows())
+	return relResidual(p, a, b, x, make([]float64, a.Rows()), kernel.Norm2(p, b))
+}
+
+// relResidual returns ‖b − A x‖₂ / normB (the plain norm when normB is 0),
+// using r as scratch for the residual vector.
+func relResidual(p *kernel.Pool, a Operator, b, x, r []float64, normB float64) float64 {
 	matVec(p, a, r, x)
 	vec.Sub(r, b, r)
-	nb := kernel.Norm2(p, b)
-	if nb == 0 {
+	if normB == 0 {
 		return kernel.Norm2(p, r)
 	}
-	return kernel.Norm2(p, r) / nb
+	return kernel.Norm2(p, r) / normB
 }
