@@ -161,8 +161,7 @@ type cliConfig struct {
 }
 
 // buildObs resolves the -log-* flags into the process logger and runtime
-// introspector. The introspector's background sampler is started by the
-// run mode that owns the process lifetime.
+// introspector.
 func (cfg *cliConfig) buildObs() error {
 	lvl, err := obs.ParseLevel(cfg.logLevel)
 	if err != nil {
@@ -361,8 +360,6 @@ func main() {
 	if err := cfg.buildObs(); err != nil {
 		cfg.fatal("bad log flags", err)
 	}
-	cfg.intro.Start(0)
-	defer cfg.intro.Stop()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	switch {
@@ -499,22 +496,17 @@ func workerHandler(w *dist.Worker, name, coordinator string, cfg cliConfig) http
 			"build":       obs.BuildInfo(),
 		})
 	})
+	reg := obs.NewRegistry()
+	var s dist.WorkerStats
+	reg.OnScrape(func() { s = w.Stats() })
+	reg.CounterFunc("dist_worker_leases_claimed_total", "Leases claimed by this worker.", func() float64 { return float64(s.LeasesClaimed) })
+	reg.CounterFunc("dist_worker_leases_lost_total", "Leases lost to heartbeat expiry.", func() float64 { return float64(s.LeasesLost) })
+	reg.CounterFunc("dist_worker_units_executed_total", "Campaign units executed.", func() float64 { return float64(s.UnitsExecuted) })
+	reg.CounterFunc("dist_worker_records_posted_total", "Records accepted by the coordinator.", func() float64 { return float64(s.RecordsPosted) })
+	reg.CounterFunc("dist_worker_retries_total", "Coordinator round-trip retries.", func() float64 { return float64(s.Retries) })
 	handle("GET /metrics", "/metrics", func(rw http.ResponseWriter, _ *http.Request) {
 		rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s := w.Stats()
-		counters := []struct {
-			name, help string
-			v          int64
-		}{
-			{"dist_worker_leases_claimed_total", "Leases claimed by this worker.", s.LeasesClaimed},
-			{"dist_worker_leases_lost_total", "Leases lost to heartbeat expiry.", s.LeasesLost},
-			{"dist_worker_units_executed_total", "Campaign units executed.", s.UnitsExecuted},
-			{"dist_worker_records_posted_total", "Records accepted by the coordinator.", s.RecordsPosted},
-			{"dist_worker_retries_total", "Coordinator round-trip retries.", s.Retries},
-		}
-		for _, c := range counters {
-			fmt.Fprintf(rw, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.v)
-		}
+		reg.WritePrometheus(rw)
 		red.WritePrometheus(rw)
 		cfg.intro.WritePrometheus(rw)
 		obs.WriteBuildMetric(rw)

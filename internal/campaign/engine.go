@@ -339,29 +339,19 @@ func (r *Runner) runUnit(ctx context.Context, u Unit, pool *kernel.Pool) (rec Re
 	return ExecuteUnitPooled(ctx, r.compiled, u, r.opts.UnitBudget, r.opts.Recorder, pool)
 }
 
-// ExecuteUnit runs one unit of a compiled campaign under the sandbox with
-// the given wall-clock budget (<= 0 means the manifest's unit budget, or
-// the 2-minute default) and returns its journalable record. ran is false
-// only when ctx ended before the unit produced an outcome — the unit is
-// unfinished and must be rerun, or re-leased, later. ExecuteUnit is the
+// ExecuteUnitPooled runs one unit of a compiled campaign under the sandbox
+// with the given wall-clock budget (<= 0 means the manifest's unit budget,
+// or the 2-minute default) and returns its journalable record. ran is
+// false only when ctx ended before the unit produced an outcome — the unit
+// is unfinished and must be rerun, or re-leased, later. It is the
 // single-unit core shared by the local Runner and the distributed worker,
 // which is what keeps locally and remotely executed records identical.
-func ExecuteUnit(ctx context.Context, c *Compiled, u Unit, budget time.Duration) (rec Record, ran bool) {
-	return ExecuteUnitTraced(ctx, c, u, budget, nil)
-}
-
-// ExecuteUnitTraced is ExecuteUnit with a flight recorder: the unit's
-// lifecycle (UnitStart/UnitEnd) and its sandbox outcome are emitted as
-// trace events. The record returned is identical to ExecuteUnit's — the
-// recorder observes, it never participates.
-func ExecuteUnitTraced(ctx context.Context, c *Compiled, u Unit, budget time.Duration, rtrace *trace.Recorder) (rec Record, ran bool) {
-	return ExecuteUnitPooled(ctx, c, u, budget, rtrace, nil)
-}
-
-// ExecuteUnitPooled is ExecuteUnitTraced with a kernel pool: the unit's
+//
+// rtrace, when non-nil, receives the unit's lifecycle (UnitStart/UnitEnd)
+// and its sandbox outcome; it observes, it never participates. The unit's
 // solver kernels run on pool's persistent workers (nil = sequential). The
 // kernels are bitwise deterministic, so the record is identical for every
-// pool width — the pool buys wall-clock time, nothing else.
+// pool width and with or without a recorder.
 func ExecuteUnitPooled(ctx context.Context, c *Compiled, u Unit, budget time.Duration, rtrace *trace.Recorder, pool *kernel.Pool) (rec Record, ran bool) {
 	if budget <= 0 {
 		budget = 2 * time.Minute

@@ -143,7 +143,7 @@ type HeartbeatResponse struct {
 // CompleteRequest reports finished units of a lease.
 type CompleteRequest struct {
 	Worker string `json:"worker"`
-	// Records are journal records produced by campaign.ExecuteUnit.
+	// Records are journal records produced by campaign.ExecuteUnitPooled.
 	Records []campaign.Record `json:"records"`
 }
 

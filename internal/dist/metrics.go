@@ -1,12 +1,9 @@
 package dist
 
 import (
-	"fmt"
 	"io"
-	"sort"
-	"sync"
 
-	"sdcgmres/internal/service"
+	"sdcgmres/internal/obs"
 )
 
 // Metrics is the coordinator's observability registry: lease lifecycle
@@ -14,116 +11,62 @@ import (
 // Prometheus text exposition format. All methods are safe for concurrent
 // use.
 type Metrics struct {
+	reg *obs.Registry
+
 	// Lease lifecycle.
-	LeasesGranted   service.Counter
-	LeasesCompleted service.Counter
-	LeasesExpired   service.Counter
-	LeasesRenewed   service.Counter
+	LeasesGranted   *obs.Counter
+	LeasesCompleted *obs.Counter
+	LeasesExpired   *obs.Counter
+	LeasesRenewed   *obs.Counter
 	// Unit flow.
-	UnitsCompleted service.Counter
-	UnitsRequeued  service.Counter
+	UnitsCompleted *obs.Counter
+	UnitsRequeued  *obs.Counter
 	// UnitsMemoized counts units satisfied from the solve cache before
 	// they could be leased to a worker.
-	UnitsMemoized service.Counter
+	UnitsMemoized *obs.Counter
 	// Trust boundary.
-	RecordsRejected  service.Counter
-	RecordsDuplicate service.Counter
+	RecordsRejected  *obs.Counter
+	RecordsDuplicate *obs.Counter
 
-	mu          sync.Mutex
-	unitLatency map[string]*service.Histogram // per worker
+	unitLatency obs.HistogramVec // per worker
 }
 
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
-	return &Metrics{unitLatency: make(map[string]*service.Histogram)}
+	r := obs.NewRegistry()
+	return &Metrics{
+		reg:              r,
+		LeasesGranted:    r.Counter("dist_leases_granted_total", "Unit-batch leases granted to workers."),
+		LeasesCompleted:  r.Counter("dist_leases_completed_total", "Leases whose every unit was completed."),
+		LeasesExpired:    r.Counter("dist_leases_expired_total", "Leases expired by missed heartbeats (units requeued)."),
+		LeasesRenewed:    r.Counter("dist_leases_renewed_total", "Lease heartbeat renewals."),
+		UnitsCompleted:   r.Counter("dist_units_completed_total", "Units journaled from worker reports."),
+		UnitsRequeued:    r.Counter("dist_units_requeued_total", "Units requeued from expired leases."),
+		UnitsMemoized:    r.Counter("dist_units_memoized_total", "Units satisfied from the solve cache before leasing."),
+		RecordsRejected:  r.Counter("dist_records_rejected_total", "Worker records rejected at the trust boundary."),
+		RecordsDuplicate: r.Counter("dist_records_duplicate_total", "Duplicate records acknowledged without re-journaling."),
+		unitLatency:      r.HistogramVec("dist_unit_duration_seconds", "Completed campaign-unit wall clock by worker.", nil, "worker"),
+	}
 }
 
 // ObserveUnit records one completed unit's wall clock under its worker.
 func (m *Metrics) ObserveUnit(worker string, seconds float64) {
-	m.mu.Lock()
-	h := m.unitLatency[worker]
-	if h == nil {
-		h = service.NewHistogram()
-		m.unitLatency[worker] = h
-	}
-	m.mu.Unlock()
-	h.Observe(seconds)
-}
-
-// UnitLatency returns the latency histogram for a worker (nil if that
-// worker completed nothing yet).
-func (m *Metrics) UnitLatency(worker string) *service.Histogram {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.unitLatency[worker]
+	m.unitLatency.With(worker).Observe(seconds)
 }
 
 // Workers lists every worker that completed at least one unit, sorted.
 func (m *Metrics) Workers() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.unitLatency))
-	for k := range m.unitLatency {
-		out = append(out, k)
-	}
-	sort.Strings(out)
+	var out []string
+	m.unitLatency.Each(func(values []string, _ *obs.Histogram) { out = append(out, values[0]) })
 	return out
 }
 
-// Snapshot returns the counters by exported name, for tests and JSON use.
-func (m *Metrics) Snapshot() map[string]int64 {
-	return map[string]int64{
-		"leases_granted":    m.LeasesGranted.Value(),
-		"leases_completed":  m.LeasesCompleted.Value(),
-		"leases_expired":    m.LeasesExpired.Value(),
-		"leases_renewed":    m.LeasesRenewed.Value(),
-		"units_completed":   m.UnitsCompleted.Value(),
-		"units_requeued":    m.UnitsRequeued.Value(),
-		"units_memoized":    m.UnitsMemoized.Value(),
-		"records_rejected":  m.RecordsRejected.Value(),
-		"records_duplicate": m.RecordsDuplicate.Value(),
-	}
-}
+// Snapshot returns the counters keyed by family name less the "dist_"
+// prefix and "_total" suffix (e.g. "leases_granted"), for tests and JSON
+// use.
+func (m *Metrics) Snapshot() map[string]int64 { return m.reg.Counts("dist_") }
 
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format. It is appended to GET /metrics on both the standalone host and a
 // coordinating solved daemon.
-func (m *Metrics) WritePrometheus(w io.Writer) {
-	counters := []struct {
-		name, help string
-		c          *service.Counter
-	}{
-		{"dist_leases_granted_total", "Unit-batch leases granted to workers.", &m.LeasesGranted},
-		{"dist_leases_completed_total", "Leases whose every unit was completed.", &m.LeasesCompleted},
-		{"dist_leases_expired_total", "Leases expired by missed heartbeats (units requeued).", &m.LeasesExpired},
-		{"dist_leases_renewed_total", "Lease heartbeat renewals.", &m.LeasesRenewed},
-		{"dist_units_completed_total", "Units journaled from worker reports.", &m.UnitsCompleted},
-		{"dist_units_requeued_total", "Units requeued from expired leases.", &m.UnitsRequeued},
-		{"dist_units_memoized_total", "Units satisfied from the solve cache before leasing.", &m.UnitsMemoized},
-		{"dist_records_rejected_total", "Worker records rejected at the trust boundary.", &m.RecordsRejected},
-		{"dist_records_duplicate_total", "Duplicate records acknowledged without re-journaling.", &m.RecordsDuplicate},
-	}
-	for _, c := range counters {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.c.Value())
-	}
-
-	m.mu.Lock()
-	workers := make([]string, 0, len(m.unitLatency))
-	for k := range m.unitLatency {
-		workers = append(workers, k)
-	}
-	sort.Strings(workers)
-	hists := make([]*service.Histogram, len(workers))
-	for i, k := range workers {
-		hists[i] = m.unitLatency[k]
-	}
-	m.mu.Unlock()
-
-	if len(workers) > 0 {
-		fmt.Fprintf(w, "# HELP dist_unit_duration_seconds Completed campaign-unit wall clock by worker.\n")
-		fmt.Fprintf(w, "# TYPE dist_unit_duration_seconds histogram\n")
-	}
-	for i, k := range workers {
-		hists[i].WritePrometheus(w, "dist_unit_duration_seconds", fmt.Sprintf("worker=%q", k))
-	}
-}
+func (m *Metrics) WritePrometheus(w io.Writer) { m.reg.WritePrometheus(w) }

@@ -16,7 +16,6 @@ import (
 	"sdcgmres/internal/expt"
 	"sdcgmres/internal/kernel"
 	"sdcgmres/internal/obs"
-	"sdcgmres/internal/service"
 	"sdcgmres/internal/trace"
 )
 
@@ -92,7 +91,7 @@ type WorkerConfig struct {
 	// Problems is the calibration cache (default: a fresh one).
 	Problems *ProblemCache
 	// Recorder, when non-nil, receives unit-lifecycle trace events for
-	// every unit this worker executes (via campaign.ExecuteUnitTraced).
+	// every unit this worker executes (via campaign.ExecuteUnitPooled).
 	Recorder *trace.Recorder
 	// KernelWorkers is the total shared-memory kernel budget for this
 	// worker process (0 = sequential kernels). Each of the Concurrency
@@ -140,18 +139,18 @@ type WorkerStats struct {
 
 // Worker joins a coordinator's fleet: it polls for a campaign, compiles the
 // manifest locally, claims unit leases, executes them under the sandbox via
-// campaign.ExecuteUnit, heartbeats while working, and reports records back.
+// campaign.ExecuteUnitPooled, heartbeats while working, and reports records back.
 // It survives coordinator restarts and campaign generation changes, and
 // exits cleanly when the coordinator closes.
 type Worker struct {
 	cfg WorkerConfig
 	log *obs.Logger
 
-	leasesClaimed service.Counter
-	leasesLost    service.Counter
-	unitsExecuted service.Counter
-	recordsPosted service.Counter
-	retries       service.Counter
+	leasesClaimed obs.Counter
+	leasesLost    obs.Counter
+	unitsExecuted obs.Counter
+	recordsPosted obs.Counter
+	retries       obs.Counter
 
 	// compiled caches the current generation's compilation.
 	gen      int

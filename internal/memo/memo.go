@@ -17,6 +17,8 @@ package memo
 import (
 	"io"
 	"sync"
+
+	"sdcgmres/internal/obs"
 )
 
 // Config sizes a Cache.
@@ -75,6 +77,8 @@ type Cache struct {
 	inflight map[string]*call
 
 	hits, misses, dedups, puts, evictions, warmed int64
+
+	reg *obs.Registry
 }
 
 // New returns an empty cache bounded by cfg.MaxBytes.
@@ -83,11 +87,24 @@ func New(cfg Config) *Cache {
 	if max <= 0 {
 		max = DefaultMaxBytes
 	}
-	return &Cache{
+	c := &Cache{
 		max:      max,
 		entries:  make(map[string]*entry),
 		inflight: make(map[string]*call),
+		reg:      obs.NewRegistry(),
 	}
+	var s Stats
+	c.reg.OnScrape(func() { s = c.Stats() })
+	c.reg.CounterFunc("solved_memo_hits_total", "Solve cache hits.", func() float64 { return float64(s.Hits) })
+	c.reg.CounterFunc("solved_memo_misses_total", "Solve cache misses.", func() float64 { return float64(s.Misses) })
+	c.reg.CounterFunc("solved_memo_dedups_total", "Concurrent identical solves collapsed by singleflight.", func() float64 { return float64(s.Dedups) })
+	c.reg.CounterFunc("solved_memo_puts_total", "Payloads stored after fresh executions.", func() float64 { return float64(s.Puts) })
+	c.reg.CounterFunc("solved_memo_evictions_total", "Entries evicted under the byte budget.", func() float64 { return float64(s.Evictions) })
+	c.reg.CounterFunc("solved_memo_warmed_total", "Entries loaded by warm-from-store replay.", func() float64 { return float64(s.Warmed) })
+	c.reg.GaugeFunc("solved_memo_entries", "Entries currently cached.", func() float64 { return float64(s.Entries) })
+	c.reg.GaugeFunc("solved_memo_bytes", "Payload bytes currently cached.", func() float64 { return float64(s.Bytes) })
+	c.reg.GaugeFunc("solved_memo_max_bytes", "Configured cache byte budget.", func() float64 { return float64(s.MaxBytes) })
+	return c
 }
 
 // UnitKey namespaces a campaign Unit.ID into the cache key space. Unit
@@ -278,44 +295,7 @@ func (c *Cache) WritePrometheus(w io.Writer) {
 	if c == nil {
 		return
 	}
-	s := c.Stats()
-	writeMetric(w, "solved_memo_hits_total", "counter", "Solve cache hits.", s.Hits)
-	writeMetric(w, "solved_memo_misses_total", "counter", "Solve cache misses.", s.Misses)
-	writeMetric(w, "solved_memo_dedups_total", "counter", "Concurrent identical solves collapsed by singleflight.", s.Dedups)
-	writeMetric(w, "solved_memo_puts_total", "counter", "Payloads stored after fresh executions.", s.Puts)
-	writeMetric(w, "solved_memo_evictions_total", "counter", "Entries evicted under the byte budget.", s.Evictions)
-	writeMetric(w, "solved_memo_warmed_total", "counter", "Entries loaded by warm-from-store replay.", s.Warmed)
-	writeMetric(w, "solved_memo_entries", "gauge", "Entries currently cached.", s.Entries)
-	writeMetric(w, "solved_memo_bytes", "gauge", "Payload bytes currently cached.", s.Bytes)
-	writeMetric(w, "solved_memo_max_bytes", "gauge", "Configured cache byte budget.", s.MaxBytes)
-}
-
-func writeMetric(w io.Writer, name, typ, help string, v int64) {
-	io.WriteString(w, "# HELP "+name+" "+help+"\n# TYPE "+name+" "+typ+"\n"+name+" "+itoa(v)+"\n")
-}
-
-// itoa avoids strconv/fmt in the hot exposition path's import set; the
-// values are small non-negative counters.
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	c.reg.WritePrometheus(w)
 }
 
 // --- intrusive LRU list (c.mu held) ---

@@ -1,11 +1,9 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"runtime"
 	"runtime/debug"
-	"strings"
 	"sync"
 )
 
@@ -66,33 +64,17 @@ func BuildInfo() Build {
 	return buildInfo
 }
 
-// WriteBuildMetric renders the solved_build_info gauge: constant value 1
-// with the build identity carried in labels, the Prometheus convention
-// for joining version metadata onto any other series.
-func WriteBuildMetric(w io.Writer) {
+// buildRegistry holds the solved_build_info gauge: constant value 1 with
+// the build identity carried in labels, the Prometheus convention for
+// joining version metadata onto any other series.
+var buildRegistry = sync.OnceValue(func() *Registry {
+	r := NewRegistry()
 	b := BuildInfo()
-	fmt.Fprintf(w, "# HELP solved_build_info Build and version information (constant 1; identity in labels).\n")
-	fmt.Fprintf(w, "# TYPE solved_build_info gauge\n")
-	fmt.Fprintf(w, "solved_build_info{module=%s,version=%s,revision=%s,vcs_time=%s,go_version=%s} 1\n",
-		promQuote(b.Module), promQuote(b.Version), promQuote(b.Revision), promQuote(b.VCSTime), promQuote(b.GoVersion))
-}
+	r.GaugeVec("solved_build_info", "Build and version information (constant 1; identity in labels).",
+		"module", "version", "revision", "vcs_time", "go_version").
+		With(b.Module, b.Version, b.Revision, b.VCSTime, b.GoVersion).Set(1)
+	return r
+})
 
-// promQuote escapes a label value per the text exposition format.
-func promQuote(s string) string {
-	var b strings.Builder
-	b.WriteByte('"')
-	for _, r := range s {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	b.WriteByte('"')
-	return b.String()
-}
+// WriteBuildMetric renders the solved_build_info gauge.
+func WriteBuildMetric(w io.Writer) { buildRegistry().WritePrometheus(w) }

@@ -1,12 +1,9 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
-	"sort"
-	"sync"
 	"time"
 )
 
@@ -26,22 +23,21 @@ var redBuckets = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
 // "dist" — distinct families so both registries can share one /metrics
 // exposition without interleaving.
 type RED struct {
-	prefix string
-
-	mu   sync.Mutex
-	reqs map[[2]string]*Counter // route, method
-	errs map[[2]string]*Counter // route, class
-	lat  map[string]*Histogram  // route
+	reg  *Registry
+	reqs CounterVec
+	errs CounterVec
+	lat  HistogramVec
 }
 
 // NewRED builds an empty registry whose families are named
 // <prefix>_http_*.
 func NewRED(prefix string) *RED {
+	r := NewRegistry()
 	return &RED{
-		prefix: prefix,
-		reqs:   make(map[[2]string]*Counter),
-		errs:   make(map[[2]string]*Counter),
-		lat:    make(map[string]*Histogram),
+		reg:  r,
+		reqs: r.CounterVec(prefix+"_http_requests_total", "HTTP requests served, by route and method.", "route", "method"),
+		errs: r.CounterVec(prefix+"_http_errors_total", "HTTP error responses, by route and status class.", "route", "class"),
+		lat:  r.HistogramVec(prefix+"_http_request_duration_seconds", "HTTP request latency, by route.", redBuckets, "route"),
 	}
 }
 
@@ -50,94 +46,22 @@ func (m *RED) Observe(route, method string, status int, elapsed time.Duration) {
 	if m == nil {
 		return
 	}
-	m.mu.Lock()
-	req := m.reqs[[2]string{route, method}]
-	if req == nil {
-		req = &Counter{}
-		m.reqs[[2]string{route, method}] = req
+	m.reqs.With(route, method).Inc()
+	if status >= 500 {
+		m.errs.With(route, "5xx").Inc()
+	} else if status >= 400 {
+		m.errs.With(route, "4xx").Inc()
 	}
-	var errc *Counter
-	if status >= 400 {
-		class := "4xx"
-		if status >= 500 {
-			class = "5xx"
-		}
-		errc = m.errs[[2]string{route, class}]
-		if errc == nil {
-			errc = &Counter{}
-			m.errs[[2]string{route, class}] = errc
-		}
-	}
-	h := m.lat[route]
-	if h == nil {
-		h = NewHistogram(redBuckets...)
-		m.lat[route] = h
-	}
-	m.mu.Unlock()
-	req.Inc()
-	if errc != nil {
-		errc.Inc()
-	}
-	h.Observe(elapsed.Seconds())
+	m.lat.With(route).Observe(elapsed.Seconds())
 }
 
 // WritePrometheus renders the registry in the text exposition format.
-// Families appear as single uninterrupted groups with deterministic
-// (sorted) series order. Nil receiver writes nothing.
+// Nil receiver writes nothing.
 func (m *RED) WritePrometheus(w io.Writer) {
 	if m == nil {
 		return
 	}
-	m.mu.Lock()
-	type pair struct {
-		k [2]string
-		c *Counter
-	}
-	reqs := make([]pair, 0, len(m.reqs))
-	for k, c := range m.reqs {
-		reqs = append(reqs, pair{k, c})
-	}
-	errs := make([]pair, 0, len(m.errs))
-	for k, c := range m.errs {
-		errs = append(errs, pair{k, c})
-	}
-	routes := make([]string, 0, len(m.lat))
-	for r := range m.lat {
-		routes = append(routes, r)
-	}
-	hists := make(map[string]*Histogram, len(m.lat))
-	for r, h := range m.lat {
-		hists[r] = h
-	}
-	m.mu.Unlock()
-
-	byKey := func(p []pair) {
-		sort.Slice(p, func(i, j int) bool {
-			if p[i].k[0] != p[j].k[0] {
-				return p[i].k[0] < p[j].k[0]
-			}
-			return p[i].k[1] < p[j].k[1]
-		})
-	}
-	byKey(reqs)
-	byKey(errs)
-	sort.Strings(routes)
-
-	name := m.prefix + "_http_requests_total"
-	fmt.Fprintf(w, "# HELP %s HTTP requests served, by route and method.\n# TYPE %s counter\n", name, name)
-	for _, p := range reqs {
-		fmt.Fprintf(w, "%s{route=%q,method=%q} %d\n", name, p.k[0], p.k[1], p.c.Value())
-	}
-	name = m.prefix + "_http_errors_total"
-	fmt.Fprintf(w, "# HELP %s HTTP error responses, by route and status class.\n# TYPE %s counter\n", name, name)
-	for _, p := range errs {
-		fmt.Fprintf(w, "%s{route=%q,class=%q} %d\n", name, p.k[0], p.k[1], p.c.Value())
-	}
-	name = m.prefix + "_http_request_duration_seconds"
-	fmt.Fprintf(w, "# HELP %s HTTP request latency, by route.\n# TYPE %s histogram\n", name, name)
-	for _, r := range routes {
-		hists[r].WritePrometheus(w, name, fmt.Sprintf("route=%q", r))
-	}
+	m.reg.WritePrometheus(w)
 }
 
 // statusWriter captures the response status for RED accounting while

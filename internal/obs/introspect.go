@@ -1,11 +1,9 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"os"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 )
@@ -36,8 +34,8 @@ type Status struct {
 	RecentLogs    []LogRecord    `json:"recent_logs,omitempty"`
 }
 
-// Introspector samples process vitals on a period, exports them as
-// Prometheus gauges, and assembles the /v1/debug/status document from
+// Introspector samples process vitals, exports them as Prometheus
+// gauges, and assembles the /v1/debug/status document from
 // snapshot callbacks each subsystem registers (qos, memo, store, kernel,
 // leases, worker pools). The nil *Introspector is valid and inert:
 // Status on it returns a bare build-info document.
@@ -45,31 +43,34 @@ type Introspector struct {
 	start time.Time
 	log   *Logger
 
+	reg *Registry
+
 	mu       sync.Mutex
 	sections map[string]func() any
-	gauges   map[string]gauge
-	last     RuntimeSample
-
-	stopOnce sync.Once
-	stop     chan struct{}
-}
-
-type gauge struct {
-	help string
-	fn   func() float64
 }
 
 // NewIntrospector builds an introspector that stamps RecentLogs from
-// log's ring buffer (log may be nil). Call Start to begin periodic
-// sampling; Sample and Status work without it.
+// log's ring buffer (log may be nil).
 func NewIntrospector(log *Logger) *Introspector {
-	return &Introspector{
+	r := NewRegistry()
+	in := &Introspector{
 		start:    time.Now(),
 		log:      log,
+		reg:      r,
 		sections: make(map[string]func() any),
-		gauges:   make(map[string]gauge),
-		stop:     make(chan struct{}),
 	}
+	var s RuntimeSample
+	r.OnScrape(func() { s = sampleRuntime() })
+	r.GaugeFunc("solved_uptime_seconds", "Seconds since the process started.", func() float64 { return time.Since(in.start).Seconds() })
+	r.GaugeFunc("solved_goroutines", "Live goroutine count.", func() float64 { return float64(s.Goroutines) })
+	r.GaugeFunc("solved_heap_alloc_bytes", "Bytes of allocated heap objects.", func() float64 { return float64(s.HeapAllocBytes) })
+	r.GaugeFunc("solved_heap_sys_bytes", "Bytes of heap obtained from the OS.", func() float64 { return float64(s.HeapSysBytes) })
+	r.GaugeFunc("solved_heap_objects", "Live heap object count.", func() float64 { return float64(s.HeapObjects) })
+	r.CounterFunc("solved_gc_cycles_total", "Completed GC cycles.", func() float64 { return float64(s.GCCycles) })
+	r.CounterFunc("solved_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", func() float64 { return s.GCPauseTotalMS / 1e3 })
+	r.GaugeFunc("solved_open_fds", "Open file descriptors (-1 where unavailable).", func() float64 { return float64(s.OpenFDs) })
+	r.GaugeFunc("solved_gomaxprocs", "GOMAXPROCS setting.", func() float64 { return float64(s.GoMaxProcs) })
+	return in
 }
 
 // Register adds a named snapshot section to the status document. fn is
@@ -85,54 +86,20 @@ func (in *Introspector) Register(name string, fn func() any) {
 }
 
 // RegisterGauge exports fn as a Prometheus gauge under name (read on
-// every metrics scrape — keep fn cheap). Nil receiver is a no-op.
+// every metrics scrape — keep fn cheap). Registering a name twice
+// panics. Nil receiver is a no-op.
 func (in *Introspector) RegisterGauge(name, help string, fn func() float64) {
 	if in == nil || fn == nil {
 		return
 	}
-	in.mu.Lock()
-	in.gauges[name] = gauge{help: help, fn: fn}
-	in.mu.Unlock()
+	in.reg.GaugeFunc(name, help, fn)
 }
 
-// Start launches the background sampler at the given interval (default
-// 15s) so the cached sample stays fresh between scrapes. Safe to skip
-// entirely: Sample and Status always take a live reading. Nil receiver
-// is a no-op.
-func (in *Introspector) Start(interval time.Duration) {
-	if in == nil {
-		return
-	}
-	if interval <= 0 {
-		interval = 15 * time.Second
-	}
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-in.stop:
-				return
-			case <-t.C:
-				in.Sample()
-			}
-		}
-	}()
-}
-
-// Stop halts the background sampler. Nil receiver is a no-op.
-func (in *Introspector) Stop() {
-	if in == nil {
-		return
-	}
-	in.stopOnce.Do(func() { close(in.stop) })
-}
-
-// Sample takes a live runtime reading, caches it, and returns it.
-func (in *Introspector) Sample() RuntimeSample {
+// sampleRuntime takes a live runtime reading.
+func sampleRuntime() RuntimeSample {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	s := RuntimeSample{
+	return RuntimeSample{
 		SampledAt:      time.Now(),
 		Goroutines:     runtime.NumGoroutine(),
 		HeapAllocBytes: ms.HeapAlloc,
@@ -144,12 +111,6 @@ func (in *Introspector) Sample() RuntimeSample {
 		GoMaxProcs:     runtime.GOMAXPROCS(0),
 		NumCPU:         runtime.NumCPU(),
 	}
-	if in != nil {
-		in.mu.Lock()
-		in.last = s
-		in.mu.Unlock()
-	}
-	return s
 }
 
 // countFDs reads the process's open file-descriptor count from
@@ -179,7 +140,7 @@ func (in *Introspector) Status(tailLogs int) Status {
 		return st
 	}
 	st.UptimeSeconds = time.Since(in.start).Seconds()
-	st.Runtime = in.Sample()
+	st.Runtime = sampleRuntime()
 	in.mu.Lock()
 	names := make([]string, 0, len(in.sections))
 	fns := make([]func() any, 0, len(in.sections))
@@ -207,36 +168,5 @@ func (in *Introspector) WritePrometheus(w io.Writer) {
 	if in == nil {
 		return
 	}
-	s := in.Sample()
-	fixed := []struct {
-		name, help, typ string
-		v               float64
-	}{
-		{"solved_uptime_seconds", "Seconds since the process started.", "gauge", time.Since(in.start).Seconds()},
-		{"solved_goroutines", "Live goroutine count.", "gauge", float64(s.Goroutines)},
-		{"solved_heap_alloc_bytes", "Bytes of allocated heap objects.", "gauge", float64(s.HeapAllocBytes)},
-		{"solved_heap_sys_bytes", "Bytes of heap obtained from the OS.", "gauge", float64(s.HeapSysBytes)},
-		{"solved_heap_objects", "Live heap object count.", "gauge", float64(s.HeapObjects)},
-		{"solved_gc_cycles_total", "Completed GC cycles.", "counter", float64(s.GCCycles)},
-		{"solved_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", "counter", s.GCPauseTotalMS / 1e3},
-		{"solved_open_fds", "Open file descriptors (-1 where unavailable).", "gauge", float64(s.OpenFDs)},
-		{"solved_gomaxprocs", "GOMAXPROCS setting.", "gauge", float64(s.GoMaxProcs)},
-	}
-	for _, g := range fixed {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", g.name, g.help, g.name, g.typ, g.name, g.v)
-	}
-	in.mu.Lock()
-	names := make([]string, 0, len(in.gauges))
-	for name := range in.gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	gauges := make([]gauge, len(names))
-	for i, name := range names {
-		gauges[i] = in.gauges[name]
-	}
-	in.mu.Unlock()
-	for i, name := range names {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, gauges[i].help, name, name, gauges[i].fn())
-	}
+	in.reg.WritePrometheus(w)
 }

@@ -288,8 +288,6 @@ func TestIntrospectorNil(t *testing.T) {
 	var in *Introspector
 	in.Register("x", func() any { return 1 })
 	in.RegisterGauge("g", "h", func() float64 { return 1 })
-	in.Start(time.Second)
-	in.Stop()
 	st := in.Status(5)
 	if st.Build.GoVersion == "" {
 		t.Fatal("nil introspector should still report build info")

@@ -7,6 +7,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // LintPrometheus is a strict validator for the Prometheus text
@@ -18,12 +19,13 @@ import (
 //     headers, or a family's samples split into non-contiguous groups
 //     (the classic two-registries-write-one-family bug);
 //   - malformed metric names, label names, label escaping, or values;
+//   - lines that are not valid UTF-8;
 //   - exact duplicate series (same name and label set).
 //
 // A nil or empty result means the exposition is clean.
 func LintPrometheus(r io.Reader) []error {
 	l := &linter{
-		families: make(map[string]*family),
+		families: make(map[string]*lintFamily),
 		series:   make(map[string]int),
 	}
 	sc := bufio.NewScanner(r)
@@ -44,7 +46,7 @@ func LintPrometheusString(s string) []error {
 	return LintPrometheus(strings.NewReader(s))
 }
 
-type family struct {
+type lintFamily struct {
 	help    bool
 	typ     string
 	samples int  // samples seen so far
@@ -53,7 +55,7 @@ type family struct {
 
 type linter struct {
 	errs     []error
-	families map[string]*family
+	families map[string]*lintFamily
 	series   map[string]int // canonical series key -> first line
 	current  string         // family of the most recent sample
 }
@@ -67,16 +69,19 @@ func (l *linter) errf(line int, format string, args ...any) {
 	l.errs = append(l.errs, fmt.Errorf("promlint: line %d: "+format, append([]any{line}, args...)...))
 }
 
-func (l *linter) fam(name string) *family {
+func (l *linter) fam(name string) *lintFamily {
 	f := l.families[name]
 	if f == nil {
-		f = &family{}
+		f = &lintFamily{}
 		l.families[name] = f
 	}
 	return f
 }
 
 func (l *linter) line(n int, raw string) {
+	if !utf8.ValidString(raw) {
+		l.errf(n, "line is not valid UTF-8")
+	}
 	line := strings.TrimRight(raw, " \t")
 	if line == "" {
 		return
@@ -141,7 +146,7 @@ func (l *linter) comment(n int, line string) {
 
 // familyOf resolves a sample name to its declared family, unwrapping the
 // histogram/summary suffixes when the base family is declared as such.
-func (l *linter) familyOf(name string) (string, *family) {
+func (l *linter) familyOf(name string) (string, *lintFamily) {
 	if f, ok := l.families[name]; ok && (f.help || f.typ != "") {
 		return name, f
 	}

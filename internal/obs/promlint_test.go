@@ -106,3 +106,12 @@ s_bucket{le="1"} 1
 `
 	wantProblem(t, doc, "no # HELP/# TYPE header")
 }
+
+// FuzzLintPrometheus: the linter reads text from other processes, so no
+// input may make it panic.
+func FuzzLintPrometheus(f *testing.F) {
+	f.Add("# HELP a_total A.\n# TYPE a_total counter\na_total{l=\"v\"} 1\n")
+	f.Fuzz(func(t *testing.T, doc string) {
+		LintPrometheusString(doc)
+	})
+}

@@ -1,184 +1,71 @@
 package qos
 
-import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
-)
-
-// waitBuckets are the queue-wait histogram upper bounds in seconds.
-var waitBuckets = []float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
-
-// hist is a fixed-bucket histogram in the Prometheus cumulative style.
-// The scheduler cannot reuse internal/service's Histogram without an
-// import cycle (service imports qos), so this is the minimal local twin.
-type hist struct {
-	counts []int64 // per bucket; counts[len(waitBuckets)] = +Inf overflow
-	sum    float64
-	total  int64
-}
-
-func (h *hist) observe(v float64) {
-	i := sort.SearchFloat64s(waitBuckets, v)
-	if h.counts == nil {
-		h.counts = make([]int64, len(waitBuckets)+1)
-	}
-	h.counts[i]++
-	h.sum += v
-	h.total++
-}
-
-func (h *hist) write(w io.Writer, name, labels string) {
-	cum := int64(0)
-	for i, bound := range waitBuckets {
-		if h.counts != nil {
-			cum += h.counts[i]
-		}
-		fmt.Fprintf(w, "%s_bucket{%s,le=%q} %d\n", name, labels, fmt.Sprintf("%g", bound), cum)
-	}
-	if h.counts != nil {
-		cum += h.counts[len(waitBuckets)]
-	}
-	fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, labels, cum)
-	fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, h.sum)
-	fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, h.total)
-}
-
-// tenantMetrics accumulates one tenant's admission-control observations.
-type tenantMetrics struct {
-	admitted  int64
-	throttled int64
-	shed      map[Reason]int64
-	wait      hist
-}
+import "sdcgmres/internal/obs"
 
 // Metrics is the scheduler's per-tenant observability registry. All
 // methods are safe for concurrent use.
 type Metrics struct {
-	mu      sync.Mutex
-	tenants map[string]*tenantMetrics
+	reg       *obs.Registry
+	admitted  obs.CounterVec
+	throttled obs.CounterVec
+	shed      obs.CounterVec
+	depth     obs.GaugeVec
+	wait      obs.HistogramVec
 }
 
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
-	return &Metrics{tenants: make(map[string]*tenantMetrics)}
+	r := obs.NewRegistry()
+	return &Metrics{
+		reg:       r,
+		admitted:  r.CounterVec("solved_qos_admitted_total", "Jobs admitted by the QoS scheduler.", "tenant"),
+		throttled: r.CounterVec("solved_qos_throttled_total", "Jobs rejected by per-tenant rate limits.", "tenant"),
+		shed:      r.CounterVec("solved_qos_shed_total", "Jobs rejected or dropped by admission control, by reason.", "tenant", "reason"),
+		depth:     r.GaugeVec("solved_qos_queue_depth", "Jobs currently queued per tenant.", "tenant"),
+		wait:      r.HistogramVec("solved_qos_wait_seconds", "Queue wait of dequeued jobs per tenant.", nil, "tenant"),
+	}
 }
 
-func (m *Metrics) tenant(name string) *tenantMetrics {
-	t := m.tenants[name]
-	if t == nil {
-		t = &tenantMetrics{shed: make(map[Reason]int64)}
-		m.tenants[name] = t
-	}
-	return t
+// track creates a tenant's series at zero, so every tenant the scheduler
+// knows is listed from the start.
+func (m *Metrics) track(tenant string) {
+	m.admitted.With(tenant)
+	m.throttled.With(tenant)
+	m.depth.With(tenant)
+	m.wait.With(tenant)
 }
 
 // Admitted counts one admitted job.
-func (m *Metrics) Admitted(tenant string) {
-	m.mu.Lock()
-	m.tenant(tenant).admitted++
-	m.mu.Unlock()
-}
+func (m *Metrics) Admitted(tenant string) { m.admitted.With(tenant).Inc() }
 
 // Shed counts one rejection or drop. Rate-limit rejections additionally
 // count as throttled, so dashboards can split "too fast" from "too much".
 func (m *Metrics) Shed(tenant string, reason Reason) {
-	m.mu.Lock()
-	t := m.tenant(tenant)
-	t.shed[reason]++
+	m.shed.With(tenant, string(reason)).Inc()
 	if reason == ReasonThrottled {
-		t.throttled++
+		m.throttled.With(tenant).Inc()
 	}
-	m.mu.Unlock()
 }
 
 // Drop removes a tenant's series. The scheduler calls it when it evicts
 // an idle dynamic tenant, so metric cardinality stays bounded alongside
 // scheduler state.
 func (m *Metrics) Drop(tenant string) {
-	m.mu.Lock()
-	delete(m.tenants, tenant)
-	m.mu.Unlock()
+	m.admitted.Delete(tenant)
+	m.throttled.Delete(tenant)
+	m.shed.Delete(tenant)
+	m.depth.Delete(tenant)
+	m.wait.Delete(tenant)
 }
 
 // ObserveWait records one dequeued job's queue wait in seconds.
 func (m *Metrics) ObserveWait(tenant string, seconds float64) {
-	m.mu.Lock()
-	m.tenant(tenant).wait.observe(seconds)
-	m.mu.Unlock()
+	m.wait.With(tenant).Observe(seconds)
 }
 
-// Snapshot returns per-tenant counters for tests and JSON use:
+// Snapshot returns a tenant's counters for tests and JSON use:
 // "admitted", "throttled", and one "shed:<reason>" entry per reason seen.
+// An unknown tenant has none.
 func (m *Metrics) Snapshot(tenant string) map[string]int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t := m.tenants[tenant]
-	if t == nil {
-		return map[string]int64{}
-	}
-	out := map[string]int64{"admitted": t.admitted, "throttled": t.throttled}
-	for r, n := range t.shed {
-		out["shed:"+string(r)] = n
-	}
-	return out
-}
-
-// WritePrometheus renders the registry in the text exposition format.
-// depths supplies the live per-tenant queue-depth gauge (it is scheduler
-// state, not an accumulated counter).
-func (m *Metrics) WritePrometheus(w io.Writer, depths map[string]int) {
-	m.mu.Lock()
-	names := make([]string, 0, len(m.tenants))
-	for n := range m.tenants {
-		names = append(names, n)
-	}
-	m.mu.Unlock()
-	for n := range depths {
-		found := false
-		for _, have := range names {
-			if have == n {
-				found = true
-				break
-			}
-		}
-		if !found {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-
-	fmt.Fprintf(w, "# HELP solved_qos_admitted_total Jobs admitted by the QoS scheduler.\n# TYPE solved_qos_admitted_total counter\n")
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, n := range names {
-		t := m.tenant(n)
-		fmt.Fprintf(w, "solved_qos_admitted_total{tenant=%q} %d\n", n, t.admitted)
-	}
-	fmt.Fprintf(w, "# HELP solved_qos_throttled_total Jobs rejected by per-tenant rate limits.\n# TYPE solved_qos_throttled_total counter\n")
-	for _, n := range names {
-		fmt.Fprintf(w, "solved_qos_throttled_total{tenant=%q} %d\n", n, m.tenant(n).throttled)
-	}
-	fmt.Fprintf(w, "# HELP solved_qos_shed_total Jobs rejected or dropped by admission control, by reason.\n# TYPE solved_qos_shed_total counter\n")
-	for _, n := range names {
-		t := m.tenant(n)
-		reasons := make([]string, 0, len(t.shed))
-		for r := range t.shed {
-			reasons = append(reasons, string(r))
-		}
-		sort.Strings(reasons)
-		for _, r := range reasons {
-			fmt.Fprintf(w, "solved_qos_shed_total{tenant=%q,reason=%q} %d\n", n, r, t.shed[Reason(r)])
-		}
-	}
-	fmt.Fprintf(w, "# HELP solved_qos_queue_depth Jobs currently queued per tenant.\n# TYPE solved_qos_queue_depth gauge\n")
-	for _, n := range names {
-		fmt.Fprintf(w, "solved_qos_queue_depth{tenant=%q} %d\n", n, depths[n])
-	}
-	fmt.Fprintf(w, "# HELP solved_qos_wait_seconds Queue wait of dequeued jobs per tenant.\n# TYPE solved_qos_wait_seconds histogram\n")
-	for _, n := range names {
-		h := m.tenant(n).wait
-		h.write(w, "solved_qos_wait_seconds", fmt.Sprintf("tenant=%q", n))
-	}
+	return m.reg.Counts("solved_qos_", tenant)
 }

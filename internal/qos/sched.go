@@ -110,6 +110,11 @@ func New[T any](cfg Config, opt Options[T]) (*Scheduler[T], error) {
 		tenants: make(map[string]*tenantState[T]),
 	}
 	s.nonEmpty = sync.NewCond(&s.mu)
+	s.met.reg.OnScrape(func() {
+		for name, n := range s.Depths() {
+			s.met.depth.With(name).Set(int64(n))
+		}
+	})
 	now := opt.Now()
 	for _, name := range cfg.TenantNames() {
 		s.tenantLocked(name, now)
@@ -149,6 +154,7 @@ func (s *Scheduler[T]) tenantLocked(name string, now time.Time) *tenantState[T] 
 		brk:     newBreaker(s.cfg.BreakerThreshold, time.Duration(s.cfg.BreakerCooldown)),
 	}
 	s.tenants[name] = ts
+	s.met.track(name)
 	if dynamic {
 		s.dynamics++
 	}
@@ -484,11 +490,9 @@ func (s *Scheduler[T]) State() []TenantState {
 	return out
 }
 
-// WritePrometheus renders the per-tenant qos metrics plus the live
-// queue-depth gauges in the text exposition format.
-func (s *Scheduler[T]) WritePrometheus(w io.Writer) {
-	s.met.WritePrometheus(w, s.Depths())
-}
+// WritePrometheus renders the per-tenant qos metrics, with the queue-depth
+// gauges read live, in the text exposition format.
+func (s *Scheduler[T]) WritePrometheus(w io.Writer) { s.met.reg.WritePrometheus(w) }
 
 // Close stops admission and wakes every blocked Pop. Already-queued jobs
 // remain poppable: closing drains, it does not discard (the FIFO

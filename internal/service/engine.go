@@ -326,6 +326,9 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec JobSpec) (JobView, error) {
 	e.mu.Lock()
 	e.jobs[j.id] = j
 	e.mu.Unlock()
+	// Once enqueued, a worker may start or even finish the job; the
+	// caller is told what it submitted, a queued job.
+	view := j.View()
 	if err := e.enqueue(j); err != nil {
 		e.mu.Lock()
 		delete(e.jobs, j.id)
@@ -343,7 +346,7 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec JobSpec) (JobView, error) {
 	if l := e.cfg.Log; l != nil {
 		l.Info(e.jobCtx(j), "job accepted", "solver", j.spec.SolverKind())
 	}
-	return j.View(), nil
+	return view, nil
 }
 
 // jobCtx builds the logging context carrying a job's correlation

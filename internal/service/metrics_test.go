@@ -8,7 +8,7 @@ import (
 )
 
 func TestCounterConcurrent(t *testing.T) {
-	var c Counter
+	c := NewMetrics().JobsAccepted
 	var wg sync.WaitGroup
 	for i := 0; i < 10; i++ {
 		wg.Add(1)
@@ -30,22 +30,21 @@ func TestCounterConcurrent(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram(0.1, 1, 10)
-	for _, v := range []float64{0.05, 0.1, 0.5, 5, 100} {
-		h.Observe(v)
+	m := NewMetrics()
+	for _, v := range []time.Duration{500 * time.Microsecond, time.Millisecond, 500 * time.Millisecond, 5 * time.Second, 100 * time.Second} {
+		m.ObserveSolve("gmres", v)
 	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	// 0.05 and 0.1 ≤ 0.1 (le is inclusive); 0.5 ≤ 1; 5 ≤ 10; 100 overflows.
-	// Buckets are cumulative on export.
+	// 0.5 ms and 1 ms ≤ 0.001 (le is inclusive); 0.5 s ≤ 0.5; 5 s ≤ 5;
+	// 100 s overflows. Buckets are cumulative on export.
 	var sb strings.Builder
-	h.WritePrometheus(&sb, "h", "")
+	m.WritePrometheus(&sb)
 	for _, want := range []string{
-		`h_bucket{le="0.1"} 2`,
-		`h_bucket{le="1"} 3`,
-		`h_bucket{le="10"} 4`,
-		`h_bucket{le="+Inf"} 5`,
+		`solved_solve_duration_seconds_bucket{solver="gmres",le="0.001"} 2`,
+		`solved_solve_duration_seconds_bucket{solver="gmres",le="0.5"} 3`,
+		`solved_solve_duration_seconds_bucket{solver="gmres",le="5"} 4`,
+		`solved_solve_duration_seconds_bucket{solver="gmres",le="30"} 4`,
+		`solved_solve_duration_seconds_bucket{solver="gmres",le="+Inf"} 5`,
+		`solved_solve_duration_seconds_count{solver="gmres"} 5`,
 	} {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("exposition missing %q:\n%s", want, sb.String())

@@ -98,3 +98,42 @@ func TestFullServerMetricsLint(t *testing.T) {
 		t.Fatalf("full-server /metrics fails exposition lint (%d problems)", len(errs))
 	}
 }
+
+// TestQoSTenantLabelsAtTheTrustBoundary: tenant names come from the
+// unauthenticated X-Tenant header and label the solved_qos_* series, so a
+// tab or a byte that is not UTF-8 in one must still leave /metrics valid,
+// with a series for each tenant.
+func TestQoSTenantLabelsAtTheTrustBoundary(t *testing.T) {
+	e := NewEngine(Config{Workers: 1, QoS: &qos.Config{}, Runner: stubRunner(-1, 0)})
+	e.Start()
+	defer e.Shutdown(context.Background())
+	ts := httptest.NewServer(NewServer(e, ServerOptions{}))
+	defer ts.Close()
+
+	for i, tenant := range []string{"a\tb", "caf\xe9"} {
+		if resp := postJobTenant(t, ts.URL, tenant, PoissonJob(8+i)); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit as %q: status %d", tenant, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expo := string(raw)
+	if errs := obs.LintPrometheusString(expo); len(errs) > 0 {
+		t.Fatalf("/metrics fails exposition lint with %d problems, first: %v", len(errs), errs[0])
+	}
+	for _, want := range []string{
+		"solved_qos_admitted_total{tenant=\"a\tb\"} 1",
+		"solved_qos_admitted_total{tenant=\"caf\uFFFD\"} 1",
+	} {
+		if !strings.Contains(expo, want) {
+			t.Errorf("/metrics lacks %q:\n%s", want, expo)
+		}
+	}
+}

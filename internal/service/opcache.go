@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sync"
 
+	"sdcgmres/internal/obs"
 	"sdcgmres/internal/sparse"
 )
 
@@ -24,7 +25,7 @@ const maxOperatorBytes = 64 << 20
 // that errors or panics stores nothing.
 type opCache struct {
 	max          int64
-	builds, hits *Counter
+	builds, hits *obs.Counter
 
 	mu      sync.Mutex
 	bytes   int64
@@ -39,7 +40,7 @@ type operator struct {
 }
 
 func newOpCache(max int64, m *Metrics) *opCache {
-	return &opCache{max: max, builds: &m.MatrixBuilds, hits: &m.MatrixCacheHits, entries: make(map[string]*list.Element)}
+	return &opCache{max: max, builds: m.MatrixBuilds, hits: m.MatrixCacheHits, entries: make(map[string]*list.Element)}
 }
 
 // operatorBytes is a CSR's storage: row pointers, column indices and

@@ -101,6 +101,7 @@ func TestEngineQoSWeightSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitRunning(t, e, gate.ID, 5*time.Second)
 	ids := []string{}
 	for i := 0; i < 8; i++ {
 		va, err := e.Submit(tenantJob("alpha"))

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"sdcgmres/internal/obs"
 )
 
 func TestFIFOOrder(t *testing.T) {
@@ -127,7 +129,7 @@ func TestFIFOPropertyCapacityUnderContention(t *testing.T) {
 	const capacity, producers, attempts = 16, 8, 50
 	q := NewFIFO[int](capacity)
 	var wg sync.WaitGroup
-	var accepted, rejected Counter
+	var accepted, rejected obs.Counter
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
 		go func() {
@@ -176,7 +178,7 @@ func TestFIFOCloseWhilePopRace(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		var consumed Counter
+		var consumed obs.Counter
 		var wg sync.WaitGroup
 		for c := 0; c < consumers; c++ {
 			wg.Add(1)

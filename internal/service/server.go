@@ -92,6 +92,7 @@ type Server struct {
 	opts   ServerOptions
 	mux    *http.ServeMux
 	red    *obs.RED
+	kernel *obs.Registry
 }
 
 // NewServer builds the HTTP front end for an engine.
@@ -99,7 +100,7 @@ func NewServer(engine *Engine, opts ServerOptions) *Server {
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = 16 << 20
 	}
-	s := &Server{engine: engine, opts: opts, mux: http.NewServeMux(), red: obs.NewRED("solved")}
+	s := &Server{engine: engine, opts: opts, mux: http.NewServeMux(), red: obs.NewRED("solved"), kernel: kernelMetrics(engine)}
 	// handle wraps every route in the shared telemetry middleware. The
 	// route label is the registration pattern's path (not the raw URL),
 	// keeping metric cardinality bounded.
@@ -369,7 +370,7 @@ func writeTrace(w http.ResponseWriter, r *http.Request, events []trace.Event, er
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.engine.Metrics().WritePrometheus(w)
-	writeKernelMetrics(w, s.engine.KernelStats())
+	s.kernel.WritePrometheus(w)
 	s.engine.WriteQoSMetrics(w)
 	s.engine.WriteMemoMetrics(w)
 	if s.opts.Store != nil {

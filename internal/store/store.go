@@ -32,6 +32,7 @@ import (
 
 	"sdcgmres/internal/campaign"
 	"sdcgmres/internal/frame"
+	"sdcgmres/internal/obs"
 )
 
 // Rec is one warehoused result: a finished campaign unit tagged with the
@@ -110,6 +111,8 @@ type Store struct {
 
 	compactMu sync.Mutex // serializes compaction passes
 	wg        sync.WaitGroup
+
+	reg *obs.Registry
 }
 
 // segName renders the dir-relative segment file name for a sequence number.
@@ -131,6 +134,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		byKey: make(map[string]int),
 		camps: make(map[string]*campIndex),
 	}
+	s.reg = s.metrics()
 	names, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
 	if err != nil {
 		return nil, fmt.Errorf("store: list segments: %w", err)
@@ -520,24 +524,23 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
+// metrics builds the registry of store gauges and counters, read from
+// one Stats snapshot per scrape.
+func (s *Store) metrics() *obs.Registry {
+	r := obs.NewRegistry()
+	var st Stats
+	r.OnScrape(func() { st = s.Stats() })
+	r.GaugeFunc("store_records", "Live (deduplicated) records in the store.", func() float64 { return float64(st.Records) })
+	r.GaugeFunc("store_campaigns", "Distinct campaigns in the store.", func() float64 { return float64(st.Campaigns) })
+	r.GaugeFunc("store_segments", "Segment files on disk (sealed + active).", func() float64 { return float64(st.Segments) })
+	r.GaugeFunc("store_bytes", "Approximate segment bytes on disk.", func() float64 { return float64(st.Bytes) })
+	r.GaugeFunc("store_garbage_frames", "Duplicate frames awaiting compaction.", func() float64 { return float64(st.GarbageFrames) })
+	r.CounterFunc("store_ingest_duplicates_total", "Duplicate ingests dropped since open.", func() float64 { return float64(st.DupDropped) })
+	r.CounterFunc("store_ingest_invalid_total", "Invalid ingests rejected since open.", func() float64 { return float64(st.InvalidDropped) })
+	r.CounterFunc("store_compactions_total", "Segment compaction passes since open.", func() float64 { return float64(st.Compactions) })
+	return r
+}
+
 // WritePrometheus renders the store gauges in the text exposition format,
 // for mounting into a service /metrics endpoint.
-func (s *Store) WritePrometheus(w io.Writer) {
-	st := s.Stats()
-	rows := []struct {
-		name, typ, help string
-		v               int64
-	}{
-		{"store_records", "gauge", "Live (deduplicated) records in the store.", int64(st.Records)},
-		{"store_campaigns", "gauge", "Distinct campaigns in the store.", int64(st.Campaigns)},
-		{"store_segments", "gauge", "Segment files on disk (sealed + active).", int64(st.Segments)},
-		{"store_bytes", "gauge", "Approximate segment bytes on disk.", st.Bytes},
-		{"store_garbage_frames", "gauge", "Duplicate frames awaiting compaction.", st.GarbageFrames},
-		{"store_ingest_duplicates_total", "counter", "Duplicate ingests dropped since open.", st.DupDropped},
-		{"store_ingest_invalid_total", "counter", "Invalid ingests rejected since open.", st.InvalidDropped},
-		{"store_compactions_total", "counter", "Segment compaction passes since open.", st.Compactions},
-	}
-	for _, r := range rows {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", r.name, r.help, r.name, r.typ, r.name, r.v)
-	}
-}
+func (s *Store) WritePrometheus(w io.Writer) { s.reg.WritePrometheus(w) }
