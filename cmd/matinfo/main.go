@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"sdcgmres/internal/expt"
 	"sdcgmres/internal/gallery"
@@ -28,11 +27,7 @@ func main() {
 	n := flag.Int("n", 100, "generator size (grid side for poisson/convdiff, dimension for circuit)")
 	cond := flag.Bool("cond", false, "also estimate the condition number (file matrices: needs diagonal dominance)")
 	checkTrace := flag.String("check-trace", "", "validate a JSONL flight-recorder trace file and print its event count")
-	workers := flag.Int("workers", 0, "cap the threads used for matrix analysis (0 = GOMAXPROCS); the reported properties are identical for every value")
 	flag.Parse()
-	if *workers > 0 {
-		runtime.GOMAXPROCS(*workers)
-	}
 
 	switch {
 	case *checkTrace != "":

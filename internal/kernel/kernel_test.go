@@ -66,7 +66,7 @@ func TestNorm2WorkerInvariance(t *testing.T) {
 	for _, n := range sizes {
 		x := randVec(n, 3)
 		want := kernel.Norm2(nil, x)
-		if n < vec.ParallelThreshold {
+		if n < kernel.ParallelThreshold {
 			if sw := vec.Norm2(x); math.Float64bits(want) != math.Float64bits(sw) {
 				t.Fatalf("n=%d: below-threshold Norm2 = %v, want serial %v", n, want, sw)
 			}
@@ -92,7 +92,7 @@ func TestNorm2WorkerInvariance(t *testing.T) {
 // overflow must still produce a finite, correct norm through the parallel
 // rescaled recurrence (the dnrm2 property vec.Norm2 has always had).
 func TestNorm2OverflowRescaling(t *testing.T) {
-	n := vec.ParallelThreshold + 123
+	n := kernel.ParallelThreshold + 123
 	huge := math.MaxFloat64 / 1e5
 	x := make([]float64, n)
 	for i := range x {
@@ -120,7 +120,7 @@ func TestNorm2OverflowRescaling(t *testing.T) {
 // TestNorm2Denormals: a vector of subnormals must not flush to zero (naive
 // squaring underflows to 0; the rescaled recurrence keeps the value).
 func TestNorm2Denormals(t *testing.T) {
-	n := vec.ParallelThreshold + 7
+	n := kernel.ParallelThreshold + 7
 	tiny := 5e-324 // smallest positive subnormal
 	x := make([]float64, n)
 	for i := range x {
@@ -148,7 +148,7 @@ func TestDotKahanWorkerInvariance(t *testing.T) {
 	for _, n := range sizes {
 		x, y := randVec(n, 5), randVec(n, 6)
 		want := kernel.DotKahan(nil, x, y)
-		if n < vec.ParallelThreshold {
+		if n < kernel.ParallelThreshold {
 			if sw := vec.DotKahan(x, y); math.Float64bits(want) != math.Float64bits(sw) {
 				t.Fatalf("n=%d: below-threshold DotKahan = %v, want %v", n, want, sw)
 			}
@@ -191,7 +191,7 @@ func TestAxpyScaleMatchVec(t *testing.T) {
 // the same bits, and double Close is a no-op.
 func TestPoolCloseSafety(t *testing.T) {
 	p := kernel.New(4)
-	n := vec.ParallelThreshold + 10
+	n := kernel.ParallelThreshold + 10
 	x, y := randVec(n, 9), randVec(n, 10)
 	want := kernel.Dot(nil, x, y)
 	if got := kernel.Dot(p, x, y); math.Float64bits(got) != math.Float64bits(want) {
@@ -216,7 +216,7 @@ func TestPoolCloseSafety(t *testing.T) {
 func TestPoolDrainUnderSandboxDeadline(t *testing.T) {
 	p := kernel.New(4)
 	defer p.Close()
-	n := vec.ParallelThreshold * 4
+	n := kernel.ParallelThreshold * 4
 	x, y := randVec(n, 11), randVec(n, 12)
 	want := kernel.Dot(nil, x, y)
 
@@ -261,7 +261,7 @@ func TestStatsCount(t *testing.T) {
 	p := kernel.New(2)
 	defer p.Close()
 	small := randVec(64, 13)
-	big := randVec(vec.ParallelThreshold+1, 14)
+	big := randVec(kernel.ParallelThreshold+1, 14)
 	kernel.Dot(p, small, small) // below threshold: fallback
 	kernel.Dot(p, big, big)     // parallel dispatch
 	s := p.Stats()

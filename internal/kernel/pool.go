@@ -1,7 +1,9 @@
 // Package kernel is the shared-memory parallel compute engine for the
 // solver hot path: a persistent worker pool executing CSR SpMV partitions
-// and BLAS-1 reductions (dot, norm, Kahan dot) without per-call goroutine
-// spawns.
+// and BLAS-1 kernels (dot, norm, Kahan dot, axpy, scale) without per-call
+// goroutine spawns. It is the only code in the repository that runs a
+// kernel in parallel: the unpooled vec and sparse kernels are serial at
+// every size.
 //
 // Determinism is the design constraint, inherited from the SDC experiments
 // this repository reproduces: a fault-injection campaign must attribute
@@ -12,17 +14,17 @@
 //
 //   - Reductions decompose into fixed vec.ChunkSize chunks (boundaries
 //     depend only on the length) and fold per-chunk partials in index
-//     order. Below vec.ParallelThreshold they delegate to the serial vec
+//     order. Below ParallelThreshold they delegate to the serial vec
 //     kernels, so small problems — including every paper-scale figure
-//     campaign — compute bit-identically to the pre-engine code.
+//     campaign — compute bit-identically to the serial code.
 //   - SpMV partitions are row-disjoint, so each output element is written
 //     by exactly one worker with serial rounding; any partition (including
 //     the nnz-balanced one from PartitionNNZ) yields the serial result.
 //   - Element-wise maps (axpy, scale) have no cross-element rounding at
 //     all.
 //
-// A nil *Pool is valid and permanently sequential: every method works on it
-// behind one branch, so call sites thread a possibly-nil pool through
+// A nil *Pool is valid and sequential at every size: every method works on
+// it behind one branch, so call sites thread a possibly-nil pool through
 // unconditionally, exactly like a nil *trace.Recorder.
 package kernel
 

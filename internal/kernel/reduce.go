@@ -6,12 +6,11 @@ import (
 	"sdcgmres/internal/vec"
 )
 
-// seqThreshold is the vector length below which every reduction answers on
-// the sequential vec fast path. It equals vec.ParallelThreshold, so the
-// engine's "small problems pay zero overhead" boundary coincides with the
-// one the vec package has always used — every call below it is bit-for-bit
-// the pre-engine computation.
-const seqThreshold = vec.ParallelThreshold
+// ParallelThreshold is the vector length below which every kernel answers
+// on the serial vec fast path: a pool dispatch costs more than it saves for
+// a short vector. Every call below it is bit-for-bit the serial vec
+// computation, whatever the pool.
+const ParallelThreshold = 1 << 15
 
 // nchunks is the fixed chunk count of a length-n reduction.
 func nchunks(n int) int { return (n + vec.ChunkSize - 1) / vec.ChunkSize }
@@ -20,7 +19,7 @@ func nchunks(n int) int { return (n + vec.ChunkSize - 1) / vec.ChunkSize }
 // length and worker count: both decompose into the same fixed chunks and
 // fold the partials in index order.
 func Dot(p *Pool, x, y []float64) float64 {
-	if len(x) < seqThreshold {
+	if len(x) < ParallelThreshold {
 		p.seqFallback()
 		return vec.Dot(x, y)
 	}
@@ -29,7 +28,7 @@ func Dot(p *Pool, x, y []float64) float64 {
 	p.Run("dot", len(x), nc, func(c int) {
 		lo := c * vec.ChunkSize
 		hi := min(lo+vec.ChunkSize, len(x))
-		partial[c] = vec.DotChunked(x[lo:hi], y[lo:hi])
+		partial[c] = vec.Dot(x[lo:hi], y[lo:hi])
 	})
 	var total float64
 	for _, v := range partial {
@@ -47,7 +46,7 @@ func Dot(p *Pool, x, y []float64) float64 {
 // the unchunked serial recurrence by an ulp, but never between worker
 // counts, which is the invariant the campaign CSVs rely on).
 func Norm2(p *Pool, x []float64) float64 {
-	if len(x) < seqThreshold {
+	if len(x) < ParallelThreshold {
 		p.seqFallback()
 		return vec.Norm2(x)
 	}
@@ -71,7 +70,7 @@ func Norm2(p *Pool, x []float64) float64 {
 // with compensated summation in index order. Below the threshold it is
 // exactly vec.DotKahan.
 func DotKahan(p *Pool, x, y []float64) float64 {
-	if len(x) < seqThreshold {
+	if len(x) < ParallelThreshold {
 		p.seqFallback()
 		return vec.DotKahan(x, y)
 	}
@@ -91,7 +90,7 @@ func Axpy(p *Pool, alpha float64, x, y []float64) {
 	if alpha == 0 {
 		return
 	}
-	if len(x) < seqThreshold || p.Workers() <= 1 {
+	if len(x) < ParallelThreshold || p.Workers() <= 1 {
 		p.seqFallback()
 		vec.Axpy(alpha, x, y)
 		return
@@ -109,7 +108,7 @@ func Axpy(p *Pool, alpha float64, x, y []float64) {
 // Scale computes x *= alpha. Element-wise, so identical to vec.Scale at any
 // worker count.
 func Scale(p *Pool, alpha float64, x []float64) {
-	if len(x) < seqThreshold || p.Workers() <= 1 {
+	if len(x) < ParallelThreshold || p.Workers() <= 1 {
 		p.seqFallback()
 		vec.Scale(alpha, x)
 		return

@@ -11,13 +11,13 @@ import (
 
 // TestGMRESPoolInvariance runs GMRES on a system large enough that every
 // hot-path kernel crosses the parallel threshold (200×200 Poisson grid →
-// n = 40 000 > vec.ParallelThreshold) and demands the complete result —
+// n = 40 000 > kernel.ParallelThreshold) and demands the complete result —
 // solution bits, residual history bits, iteration count — be identical
 // between the sequential solver and pools of several widths. This is the
 // solver-level statement of the engine's determinism contract.
 func TestGMRESPoolInvariance(t *testing.T) {
 	a := gallery.Poisson2D(200)
-	if a.Rows() < vec.ParallelThreshold {
+	if a.Rows() < kernel.ParallelThreshold {
 		t.Fatalf("system too small (%d rows) to cross the parallel threshold", a.Rows())
 	}
 	b := make([]float64, a.Rows())

@@ -248,13 +248,16 @@ func (m *CampaignManager) SubmitCtx(ctx context.Context, man campaign.Manifest) 
 		l.Info(m.campaignCtx(c), "campaign accepted",
 			"name", man.Name, "hash", c.hash, "journal", c.journal)
 	}
+	// Take the view before the campaign starts: once it runs, its state
+	// may already have moved past compiling.
+	view := c.view()
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
 		defer cancel()
 		m.execute(runCtx, c)
 	}()
-	return c.view(), nil
+	return view, nil
 }
 
 // campaignCtx builds the logging context carrying a campaign's

@@ -229,19 +229,27 @@ func TestServerValidationAndRouting(t *testing.T) {
 	ts := httptest.NewServer(NewServer(engine, ServerOptions{}))
 	defer ts.Close()
 
-	// Invalid spec → 400.
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"matrix":{"kind":"dense"}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("invalid spec: status %d", resp.StatusCode)
+	// Invalid spec → 400 with the v1 envelope.
+	for _, spec := range []JobSpec{
+		{Matrix: MatrixSpec{Kind: "dense"}},
+		MatrixMarketJob(mmOversize),
+		MatrixMarketJob(mmFarOversize),
+	} {
+		body, _ := json.Marshal(spec)
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env ErrorEnvelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || env.Code != "invalid_request" {
+			t.Fatalf("invalid spec %s: status %d, envelope %+v (%v)", body, resp.StatusCode, env, err)
+		}
 	}
 
 	// Unknown JSON field → 400 (strict decoding).
-	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"matriks":{}}`))
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"matriks":{}}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,11 +15,13 @@ package service
 import (
 	"crypto/sha256"
 	"fmt"
+	"strings"
 	"time"
 
 	"sdcgmres/internal/fault"
 	"sdcgmres/internal/krylov"
 	"sdcgmres/internal/qos"
+	"sdcgmres/internal/sparse"
 )
 
 // Resource ceilings for untrusted job specs. They bound the memory and
@@ -193,6 +195,16 @@ func (s *JobSpec) Validate() error {
 		}
 		if len(s.Matrix.MM) > MaxMMBytes {
 			return fmt.Errorf("service: mm payload %d bytes exceeds cap %d", len(s.Matrix.MM), MaxMMBytes)
+		}
+		// A few bytes can declare a matrix whose assembly alone exhausts
+		// memory, so the declared size gets the generators' largest system
+		// as its cap.
+		rows, cols, err := sparse.ReadMatrixMarketSize(strings.NewReader(s.Matrix.MM))
+		if err != nil {
+			return fmt.Errorf("service: bad matrix market payload: %w", err)
+		}
+		if maxRows := MaxGridN * MaxGridN; rows > maxRows || cols > maxRows {
+			return fmt.Errorf("service: mm matrix %dx%d exceeds cap of %d rows and columns", rows, cols, maxRows)
 		}
 	case "":
 		return fmt.Errorf("service: matrix kind missing (want poisson | circuit | convdiff | mm)")

@@ -19,6 +19,14 @@ func TestValidateAcceptsBuilders(t *testing.T) {
 	}
 }
 
+// Matrix Market payloads of a few bytes whose size lines declare matrices
+// too large to assemble: 20,000,000 rows ask for about 306 MiB, and
+// 2,000,000,000 rows for two 16 GB slices.
+const (
+	mmOversize    = "%%MatrixMarket matrix coordinate real general\n20000000 20000000 0\n"
+	mmFarOversize = "%%MatrixMarket matrix coordinate real general\n2000000000 2000000000 0\n"
+)
+
 func TestValidateRejects(t *testing.T) {
 	cases := []struct {
 		name string
@@ -30,6 +38,10 @@ func TestValidateRejects(t *testing.T) {
 		{"oversize grid", JobSpec{Matrix: MatrixSpec{Kind: "poisson", N: MaxGridN + 1}}, "out of range"},
 		{"tiny grid", JobSpec{Matrix: MatrixSpec{Kind: "poisson", N: 1}}, "out of range"},
 		{"mm empty", JobSpec{Matrix: MatrixSpec{Kind: "mm"}}, "needs inline mm"},
+		{"mm bad header", MatrixMarketJob("%%MatrixMarket matrix array real general\n2 2\n"), "coordinate"},
+		{"mm symmetric non-square", MatrixMarketJob("%%MatrixMarket matrix coordinate real symmetric\n2 5 1\n1 5 1.0\n"), "must be square"},
+		{"mm oversize", MatrixMarketJob(mmOversize), "exceeds cap"},
+		{"mm far oversize", MatrixMarketJob(mmFarOversize), "exceeds cap"},
 		{"bad solver", JobSpec{Matrix: MatrixSpec{Kind: "poisson", N: 8}, Solver: SolverSpec{Kind: "sor"}}, "unknown solver"},
 		{"cg fault", JobSpec{Matrix: MatrixSpec{Kind: "poisson", N: 8}, Solver: SolverSpec{Kind: "cg"}, Fault: &FaultSpec{Class: "large", At: 1}}, "has none"},
 		{"cg detector", JobSpec{Matrix: MatrixSpec{Kind: "poisson", N: 8}, Solver: SolverSpec{Kind: "cg", Detector: true}}, "does not apply"},
@@ -54,6 +66,27 @@ func TestValidateRejects(t *testing.T) {
 			t.Fatalf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
 	}
+}
+
+// FuzzMatrixMarketJob: an inline Matrix Market payload is untrusted, so no
+// payload may make validation panic, and a validated one may neither panic
+// the build nor yield a matrix that is not square or exceeds the generator
+// jobs' largest system.
+func FuzzMatrixMarketJob(f *testing.F) {
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 4.0\n2 2 4.0\n")
+	f.Fuzz(func(t *testing.T, payload string) {
+		spec := MatrixMarketJob(payload)
+		if spec.Validate() != nil {
+			return
+		}
+		a, _, err := BuildMatrix(spec.Matrix)
+		if err != nil {
+			return
+		}
+		if a.Rows() != a.Cols() || a.Rows() > MaxGridN*MaxGridN {
+			t.Fatalf("built a %dx%d matrix from %q", a.Rows(), a.Cols(), payload)
+		}
+	})
 }
 
 func TestParseFaultModelRoundTrip(t *testing.T) {

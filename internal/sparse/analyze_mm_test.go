@@ -174,6 +174,9 @@ func TestReadMatrixMarketErrors(t *testing.T) {
 		"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n",
 		"not a header\n",
 		"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 xyz\n",
+		// A mirrored entry of a non-square symmetric matrix falls outside it.
+		"%%MatrixMarket matrix coordinate real symmetric\n2 5 1\n1 5 1.0\n",
+		"%%MatrixMarket matrix coordinate real skew-symmetric\n5 2 1\n5 1 1.0\n",
 	}
 	for i, src := range cases {
 		if _, err := ReadMatrixMarket(strings.NewReader(src)); err == nil {

@@ -1,16 +1,14 @@
 // Package sparse implements the sparse-matrix substrate: a COO builder, the
-// CSR operator used by every solver, goroutine-parallel sparse matrix-vector
-// products, matrix norms (including the ‖A‖F fault-detection bound and a
-// power-method ‖A‖₂ estimator), Matrix Market I/O, and the structural
-// analysis behind Table I of the paper.
+// CSR operator used by every solver, the sparse matrix-vector product
+// (serial, or on an internal/kernel pool), matrix norms (including the ‖A‖F
+// fault-detection bound and a power-method ‖A‖₂ estimator), Matrix Market
+// I/O, and the structural analysis behind Table I of the paper.
 package sparse
 
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"sdcgmres/internal/kernel"
 	"sdcgmres/internal/vec"
@@ -157,33 +155,17 @@ func (m *CSR) Row(i int) (cols []int, vals []float64) {
 	return m.colIdx[lo:hi], m.val[lo:hi]
 }
 
-// spmvParallelThreshold is the nnz count above which MatVec fans out row
-// blocks to goroutines. Row-block partitioning keeps each output element
-// written by exactly one worker, so the result is identical to serial
-// evaluation.
+// spmvParallelThreshold is the nnz count below which MatVecPool runs the
+// serial product: a pool dispatch costs more than it saves on a small one.
 const spmvParallelThreshold = 1 << 16
 
-// MatVec computes dst = A x.
+// MatVec computes dst = A x serially on the caller's goroutine, at every
+// size; MatVecPool is the parallel variant.
 func (m *CSR) MatVec(dst, x []float64) {
 	if len(x) != m.cols || len(dst) != m.rows {
 		panic(fmt.Sprintf("sparse.MatVec: A is %dx%d, x[%d], dst[%d]", m.rows, m.cols, len(x), len(dst)))
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if m.NNZ() < spmvParallelThreshold || workers <= 1 {
-		m.matVecRange(dst, x, 0, m.rows)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		lo := w * m.rows / workers
-		hi := (w + 1) * m.rows / workers
-		go func(lo, hi int) {
-			defer wg.Done()
-			m.matVecRange(dst, x, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	m.matVecRange(dst, x, 0, m.rows)
 }
 
 // MatVecPool computes dst = A x on the kernel pool's persistent workers,

@@ -249,29 +249,6 @@ func TestMatVecMatchesDenseReference(t *testing.T) {
 	}
 }
 
-func TestMatVecParallelPathMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	// Enough nnz to cross the parallel threshold.
-	n := 600
-	m := randomCSR(rng, n, n, 0.3)
-	if m.NNZ() < spmvParallelThreshold {
-		t.Fatalf("test matrix too sparse: %d nnz", m.NNZ())
-	}
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	par := make([]float64, n)
-	m.MatVec(par, x)
-	ser := make([]float64, n)
-	m.matVecRange(ser, x, 0, n)
-	for i := range par {
-		if par[i] != ser[i] {
-			t.Fatalf("parallel MatVec differs at %d: %g vs %g", i, par[i], ser[i])
-		}
-	}
-}
-
 func TestMatTVecAgainstTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	m := randomCSR(rng, 15, 9, 0.4)

@@ -19,58 +19,15 @@ import (
 // matrix. Symmetric and skew-symmetric files are expanded to general form,
 // as solvers here expect a fully stored operator.
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-
-	if !sc.Scan() {
-		return nil, fmt.Errorf("matrixmarket: empty input")
+	sc, h, err := readHeader(r)
+	if err != nil {
+		return nil, err
 	}
-	header := strings.Fields(strings.ToLower(sc.Text()))
-	if len(header) < 5 || header[0] != "%%matrixmarket" {
-		return nil, fmt.Errorf("matrixmarket: bad header %q", sc.Text())
-	}
-	object, format, field, symm := header[1], header[2], header[3], header[4]
-	if object != "matrix" {
-		return nil, fmt.Errorf("matrixmarket: unsupported object %q", object)
-	}
-	if format != "coordinate" {
-		return nil, fmt.Errorf("matrixmarket: only coordinate format supported, got %q", format)
-	}
-	switch field {
-	case "real", "integer", "pattern":
-	default:
-		return nil, fmt.Errorf("matrixmarket: unsupported field %q", field)
-	}
-	switch symm {
-	case "general", "symmetric", "skew-symmetric":
-	default:
-		return nil, fmt.Errorf("matrixmarket: unsupported symmetry %q", symm)
-	}
-
-	// Skip comments, read the size line.
-	var rows, cols, nnz int
-	for {
-		if !sc.Scan() {
-			return nil, fmt.Errorf("matrixmarket: missing size line")
-		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
-			continue
-		}
-		if _, err := fmt.Sscan(line, &rows, &cols, &nnz); err != nil {
-			return nil, fmt.Errorf("matrixmarket: bad size line %q: %w", line, err)
-		}
-		break
-	}
-	if rows < 0 || cols < 0 || nnz < 0 {
-		return nil, fmt.Errorf("matrixmarket: negative sizes %d %d %d", rows, cols, nnz)
-	}
-
-	b := NewBuilder(rows, cols)
+	b := NewBuilder(h.rows, h.cols)
 	read := 0
-	for read < nnz {
+	for read < h.nnz {
 		if !sc.Scan() {
-			return nil, fmt.Errorf("matrixmarket: expected %d entries, got %d", nnz, read)
+			return nil, fmt.Errorf("matrixmarket: expected %d entries, got %d", h.nnz, read)
 		}
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "%") {
@@ -78,7 +35,7 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 		}
 		f := strings.Fields(line)
 		wantFields := 3
-		if field == "pattern" {
+		if h.field == "pattern" {
 			wantFields = 2
 		}
 		if len(f) < wantFields {
@@ -93,20 +50,20 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 			return nil, fmt.Errorf("matrixmarket: bad col index %q: %w", f[1], err)
 		}
 		v := 1.0
-		if field != "pattern" {
+		if h.field != "pattern" {
 			v, err = strconv.ParseFloat(f[2], 64)
 			if err != nil {
 				return nil, fmt.Errorf("matrixmarket: bad value %q: %w", f[2], err)
 			}
 		}
-		if i < 1 || i > rows || j < 1 || j > cols {
-			return nil, fmt.Errorf("matrixmarket: entry (%d,%d) out of %dx%d", i, j, rows, cols)
+		if i < 1 || i > h.rows || j < 1 || j > h.cols {
+			return nil, fmt.Errorf("matrixmarket: entry (%d,%d) out of %dx%d", i, j, h.rows, h.cols)
 		}
 		i--
 		j--
 		b.Add(i, j, v)
 		if i != j {
-			switch symm {
+			switch h.symm {
 			case "symmetric":
 				b.Add(j, i, v)
 			case "skew-symmetric":
@@ -119,6 +76,76 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 		return nil, fmt.Errorf("matrixmarket: %w", err)
 	}
 	return b.Build(), nil
+}
+
+// ReadMatrixMarketSize reads only the banner and size line of a Matrix
+// Market stream, with ReadMatrixMarket's checks, and returns the declared
+// dimensions. It reads no entries, so a caller can bound an untrusted
+// payload before building it.
+func ReadMatrixMarketSize(r io.Reader) (rows, cols int, err error) {
+	_, h, err := readHeader(r)
+	return h.rows, h.cols, err
+}
+
+// mmHeader is a validated banner and size line.
+type mmHeader struct {
+	field, symm     string
+	rows, cols, nnz int
+}
+
+// readHeader reads the banner and, after any comments, the size line, and
+// returns the line scanner positioned at the first entry. Lines may be up
+// to 1 MiB; the scanner's buffer grows only as long lines need it.
+func readHeader(r io.Reader) (*bufio.Scanner, mmHeader, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, 1<<20)
+	if !sc.Scan() {
+		return nil, mmHeader{}, fmt.Errorf("matrixmarket: empty input")
+	}
+	header := strings.Fields(strings.ToLower(sc.Text()))
+	if len(header) < 5 || header[0] != "%%matrixmarket" {
+		return nil, mmHeader{}, fmt.Errorf("matrixmarket: bad header %q", sc.Text())
+	}
+	object, format, field, symm := header[1], header[2], header[3], header[4]
+	if object != "matrix" {
+		return nil, mmHeader{}, fmt.Errorf("matrixmarket: unsupported object %q", object)
+	}
+	if format != "coordinate" {
+		return nil, mmHeader{}, fmt.Errorf("matrixmarket: only coordinate format supported, got %q", format)
+	}
+	switch field {
+	case "real", "integer", "pattern":
+	default:
+		return nil, mmHeader{}, fmt.Errorf("matrixmarket: unsupported field %q", field)
+	}
+	switch symm {
+	case "general", "symmetric", "skew-symmetric":
+	default:
+		return nil, mmHeader{}, fmt.Errorf("matrixmarket: unsupported symmetry %q", symm)
+	}
+
+	h := mmHeader{field: field, symm: symm}
+	for {
+		if !sc.Scan() {
+			return nil, mmHeader{}, fmt.Errorf("matrixmarket: missing size line")
+		}
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "%") {
+			continue
+		}
+		if _, err := fmt.Sscan(line, &h.rows, &h.cols, &h.nnz); err != nil {
+			return nil, mmHeader{}, fmt.Errorf("matrixmarket: bad size line %q: %w", line, err)
+		}
+		break
+	}
+	if h.rows < 0 || h.cols < 0 || h.nnz < 0 {
+		return nil, mmHeader{}, fmt.Errorf("matrixmarket: negative sizes %d %d %d", h.rows, h.cols, h.nnz)
+	}
+	// The mirror of an off-diagonal entry must land inside the matrix.
+	if symm != "general" && h.rows != h.cols {
+		return nil, mmHeader{}, fmt.Errorf("matrixmarket: %s matrix must be square, got %dx%d", symm, h.rows, h.cols)
+	}
+	return sc, h, nil
 }
 
 // ReadMatrixMarketFile reads a Matrix Market file from disk.

@@ -3,9 +3,11 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"sdcgmres/internal/kernel"
+	"sdcgmres/internal/vec"
 )
 
 // dominantCSR builds a rows×rows CSR with ~perRow entries per row plus a
@@ -57,6 +59,52 @@ func TestMatVecPoolMatchesSerial(t *testing.T) {
 			t.Fatalf("nil pool: MatVecPool differs at row %d", i)
 		}
 	}
+}
+
+// TestUnpooledKernelsDoNotAllocate: without a pool, the vec kernels and
+// SpMV run serially at every size, so even large calls on a multi-core
+// runtime start no goroutines and allocate nothing. testing.AllocsPerRun
+// cannot show this: it pins GOMAXPROCS to 1.
+func TestUnpooledKernelsDoNotAllocate(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const n = 1 << 16
+	x, y := vec.Ones(n), make([]float64, n)
+	m := dominantCSR(3000, 30, 1)
+	if m.NNZ() < 1<<16 {
+		t.Fatalf("test matrix too sparse (%d nnz)", m.NNZ())
+	}
+	ax, dst := vec.Ones(m.Cols()), make([]float64, m.Rows())
+	var sink float64
+	for _, k := range []struct {
+		name string
+		call func()
+	}{
+		{"vec.Dot", func() { sink += vec.Dot(x, y) }},
+		{"vec.Axpy", func() { vec.Axpy(0.5, x, y) }},
+		{"vec.Scale", func() { vec.Scale(0.5, y) }},
+		{"CSR.MatVec", func() { m.MatVec(dst, ax) }},
+		{"CSR.MatVecPool(nil)", func() { m.MatVecPool(nil, dst, ax) }},
+	} {
+		// The runtime and the test framework may allocate on other
+		// goroutines during a window; a kernel that allocates does so in
+		// every window, so the best of three windows is its own count.
+		var d uint64
+		for trial := 0; trial < 3; trial++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < 20; i++ {
+				k.call()
+			}
+			runtime.ReadMemStats(&after)
+			if d = after.Mallocs - before.Mallocs; d == 0 {
+				break
+			}
+		}
+		if d != 0 {
+			t.Errorf("%s: 20 calls at GOMAXPROCS 4 made %d allocations, want 0", k.name, d)
+		}
+	}
+	_ = sink
 }
 
 // TestJacobiSolvePoolMatchesSerial: the pooled Jacobi iteration must produce

@@ -1,44 +1,27 @@
 // Package vec provides the dense-vector (BLAS level 1) kernels used by every
 // solver in this repository: dot products, norms, axpy updates, scaling and
-// copying, together with goroutine-parallel variants tuned for large vectors.
+// copying. Every kernel here runs serially on its caller's goroutine at
+// every length; internal/kernel's pool is the only code that runs them in
+// parallel.
 //
 // Reproducibility is a first-class requirement for the SDC experiments: a
 // fault-injection sweep must produce the same iteration counts on every run
-// and at every GOMAXPROCS setting. The parallel reductions therefore use
-// fixed chunk boundaries (independent of the number of workers) and sum the
-// per-chunk partial results in index order, so the floating-point rounding is
-// identical to a serial chunked evaluation.
+// and at every kernel worker count. Dot therefore sums fixed chunks (their
+// boundaries depend only on the length) and folds the per-chunk partials in
+// index order, so the pool's reduction over the same chunks rounds
+// identically to the serial evaluation.
 package vec
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 )
 
-// ParallelThreshold is the vector length below which the serial kernels are
-// always used; goroutine dispatch costs more than it saves for short vectors.
-// internal/kernel shares the same cutoff for its pool-based variants, so the
-// "sequential below, chunk-decomposed above" boundary is one number for the
-// whole repository.
-const ParallelThreshold = 1 << 15
-
-// parallelThreshold is kept as the package-internal alias.
-const parallelThreshold = ParallelThreshold
-
-// ChunkSize is the fixed reduction granularity for parallel dot products and
-// norms. Chunk boundaries depend only on the vector length, never on the
-// worker count, which keeps results bitwise reproducible. internal/kernel
-// reuses the same granularity so pool reductions round identically to this
-// package's.
+// ChunkSize is the fixed reduction granularity of Dot. Chunk boundaries
+// depend only on the vector length, never on a worker count, which keeps
+// results bitwise reproducible. internal/kernel reduces over the same
+// chunks, so pool reductions round identically to this package's.
 const ChunkSize = 1 << 12
-
-// chunkSize is kept as the package-internal alias.
-const chunkSize = ChunkSize
-
-// maxWorkers caps goroutine fan-out for the parallel kernels.
-func maxWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // New returns a zero vector of length n.
 func New(n int) []float64 { return make([]float64, n) }
@@ -82,33 +65,15 @@ func Basis(n, i int) []float64 {
 	return x
 }
 
-// Dot returns the inner product x·y using fixed-chunk deterministic
-// accumulation. For vectors shorter than the parallel threshold the work is
-// done serially; either way the rounding behaviour is identical.
+// Dot returns the inner product x·y, summing fixed ChunkSize chunks in index
+// order. internal/kernel calls it once per chunk: on a slice no longer than
+// ChunkSize it is a single unrolled-serial evaluation, the per-chunk partial
+// of the pool's reduction.
 func Dot(x, y []float64) float64 {
 	checkLen("vec.Dot", len(x), len(y))
-	if len(x) < parallelThreshold {
-		return dotChunked(x, y)
-	}
-	return dotParallel(x, y)
-}
-
-// DotChunked computes the dot product serially but with the same fixed-chunk
-// decomposition every parallel path uses, so results round identically to
-// Dot at any length. internal/kernel applies it per chunk: a slice no longer
-// than ChunkSize is a single unrolled-serial evaluation, which is exactly
-// the per-chunk partial of the parallel reduction.
-func DotChunked(x, y []float64) float64 {
-	checkLen("vec.DotChunked", len(x), len(y))
-	return dotChunked(x, y)
-}
-
-// dotChunked computes the dot product serially but with the same chunk
-// decomposition the parallel path uses, so both paths round identically.
-func dotChunked(x, y []float64) float64 {
 	var total float64
-	for lo := 0; lo < len(x); lo += chunkSize {
-		hi := min(lo+chunkSize, len(x))
+	for lo := 0; lo < len(x); lo += ChunkSize {
+		hi := min(lo+ChunkSize, len(x))
 		total += dotSerial(x[lo:hi], y[lo:hi])
 	}
 	return total
@@ -130,39 +95,6 @@ func dotSerial(x, y []float64) float64 {
 		s0 += x[i] * y[i]
 	}
 	return ((s0 + s1) + s2) + s3
-}
-
-func dotParallel(x, y []float64) float64 {
-	nchunk := (len(x) + chunkSize - 1) / chunkSize
-	partial := make([]float64, nchunk)
-	workers := min(maxWorkers(), nchunk)
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				c := next
-				next++
-				mu.Unlock()
-				if c >= nchunk {
-					return
-				}
-				lo := c * chunkSize
-				hi := min(lo+chunkSize, len(x))
-				partial[c] = dotSerial(x[lo:hi], y[lo:hi])
-			}
-		}()
-	}
-	wg.Wait()
-	var total float64
-	for _, p := range partial {
-		total += p
-	}
-	return total
 }
 
 // Norm2 returns the Euclidean norm ‖x‖₂. It rescales to avoid overflow and
@@ -221,12 +153,6 @@ func CombineSumSquares(scale1, ssq1, scale2, ssq2 float64) (scale, ssq float64) 
 	}
 }
 
-// Norm2Fast returns sqrt(Dot(x,x)). It is cheaper than Norm2 and adequate
-// whenever the data is known to be well-scaled (e.g., unit basis vectors);
-// the solvers use Norm2 on user data and Norm2Fast on internal quantities
-// guarded by the detector.
-func Norm2Fast(x []float64) float64 { return math.Sqrt(Dot(x, x)) }
-
 // NormInf returns max_i |x_i|, or 0 for an empty vector. NaNs propagate: if
 // any element is NaN the result is NaN, which callers rely on for fault
 // screening.
@@ -258,14 +184,6 @@ func Axpy(alpha float64, x, y []float64) {
 	if alpha == 0 {
 		return
 	}
-	if len(x) < parallelThreshold {
-		axpySerial(alpha, x, y)
-		return
-	}
-	parallelRange(len(x), func(lo, hi int) { axpySerial(alpha, x[lo:hi], y[lo:hi]) })
-}
-
-func axpySerial(alpha float64, x, y []float64) {
 	for i, v := range x {
 		y[i] += alpha * v
 	}
@@ -273,14 +191,6 @@ func axpySerial(alpha float64, x, y []float64) {
 
 // Scale computes x *= alpha in place.
 func Scale(alpha float64, x []float64) {
-	if len(x) < parallelThreshold {
-		scaleSerial(alpha, x)
-		return
-	}
-	parallelRange(len(x), func(lo, hi int) { scaleSerial(alpha, x[lo:hi]) })
-}
-
-func scaleSerial(alpha float64, x []float64) {
 	for i := range x {
 		x[i] *= alpha
 	}
@@ -301,13 +211,6 @@ func Sub(dst, x, y []float64) {
 	checkLen("vec.Sub", len(x), len(y))
 	for i := range dst {
 		dst[i] = x[i] - y[i]
-	}
-}
-
-// Neg negates x in place.
-func Neg(x []float64) {
-	for i := range x {
-		x[i] = -x[i]
 	}
 }
 
@@ -357,53 +260,6 @@ func AllFinite(x []float64) bool {
 		}
 	}
 	return true
-}
-
-// CountNonFinite returns the number of NaN or ±Inf elements in x.
-func CountNonFinite(x []float64) int {
-	n := 0
-	for _, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			n++
-		}
-	}
-	return n
-}
-
-// MaxAbsIndex returns the index of the element with the largest absolute
-// value, or -1 for an empty vector.
-func MaxAbsIndex(x []float64) int {
-	idx := -1
-	best := math.Inf(-1)
-	for i, v := range x {
-		if a := math.Abs(v); a > best {
-			best = a
-			idx = i
-		}
-	}
-	return idx
-}
-
-// parallelRange splits [0,n) into near-equal worker ranges and runs f on each
-// concurrently. It is used only for element-wise maps, where partitioning
-// cannot change results.
-func parallelRange(n int, f func(lo, hi int)) {
-	workers := min(maxWorkers(), (n+chunkSize-1)/chunkSize)
-	if workers <= 1 {
-		f(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		go func(lo, hi int) {
-			defer wg.Done()
-			f(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 func checkLen(op string, a, b int) {

@@ -3,7 +3,6 @@ package vec
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -95,35 +94,6 @@ func TestDotSmall(t *testing.T) {
 func TestDotEmpty(t *testing.T) {
 	if got := Dot(nil, nil); got != 0 {
 		t.Fatalf("Dot(nil,nil) = %g", got)
-	}
-}
-
-// TestDotDeterministicAcrossGOMAXPROCS verifies the central reproducibility
-// contract: the same bits come out regardless of worker count.
-func TestDotDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	n := parallelThreshold + 12345
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-		y[i] = rng.NormFloat64()
-	}
-	old := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(old)
-	var results []float64
-	for _, p := range []int{1, 2, 4, 8} {
-		runtime.GOMAXPROCS(p)
-		results = append(results, Dot(x, y))
-	}
-	for i := 1; i < len(results); i++ {
-		if results[i] != results[0] {
-			t.Fatalf("Dot not deterministic: GOMAXPROCS variants %v", results)
-		}
-	}
-	// And the parallel path must agree bitwise with the serial chunked path.
-	if s := dotChunked(x, y); s != results[0] {
-		t.Fatalf("parallel Dot %v != serial chunked %v", results[0], s)
 	}
 }
 
@@ -289,7 +259,7 @@ func TestAxpyZeroAlphaNoOp(t *testing.T) {
 }
 
 func TestAxpyLarge(t *testing.T) {
-	n := parallelThreshold + 999
+	n := 1<<15 + 999
 	x := Ones(n)
 	y := make([]float64, n)
 	Axpy(3, x, y)
@@ -312,7 +282,7 @@ func TestScale(t *testing.T) {
 }
 
 func TestScaleLarge(t *testing.T) {
-	n := parallelThreshold * 2
+	n := 1 << 16
 	x := Ones(n)
 	Scale(2, x)
 	for i := 0; i < n; i += n / 13 {
@@ -322,7 +292,7 @@ func TestScaleLarge(t *testing.T) {
 	}
 }
 
-func TestAddSubNeg(t *testing.T) {
+func TestAddSub(t *testing.T) {
 	x := []float64{1, 2}
 	y := []float64{3, 5}
 	s := make([]float64, 2)
@@ -335,10 +305,6 @@ func TestAddSubNeg(t *testing.T) {
 	if d[0] != 2 || d[1] != 3 {
 		t.Fatalf("Sub = %v", d)
 	}
-	Neg(d)
-	if d[0] != -2 || d[1] != -3 {
-		t.Fatalf("Neg = %v", d)
-	}
 }
 
 func TestAllFinite(t *testing.T) {
@@ -350,33 +316,6 @@ func TestAllFinite(t *testing.T) {
 	}
 	if AllFinite([]float64{math.NaN()}) {
 		t.Fatal("AllFinite true with NaN")
-	}
-}
-
-func TestCountNonFinite(t *testing.T) {
-	x := []float64{1, math.NaN(), math.Inf(-1), 4}
-	if got := CountNonFinite(x); got != 2 {
-		t.Fatalf("CountNonFinite = %d", got)
-	}
-}
-
-func TestMaxAbsIndex(t *testing.T) {
-	if got := MaxAbsIndex([]float64{1, -9, 3}); got != 1 {
-		t.Fatalf("MaxAbsIndex = %d", got)
-	}
-	if got := MaxAbsIndex(nil); got != -1 {
-		t.Fatalf("MaxAbsIndex(nil) = %d", got)
-	}
-}
-
-func TestNorm2FastAgreesOnModerateData(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	x := make([]float64, 501)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	if !almostEqual(Norm2(x), Norm2Fast(x), 1e-12) {
-		t.Fatalf("Norm2 %g vs Norm2Fast %g", Norm2(x), Norm2Fast(x))
 	}
 }
 
