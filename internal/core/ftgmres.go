@@ -298,9 +298,53 @@ func (s *Solver) Solve(b, x0 []float64) (*Result, error) {
 // solve, so cancellation lands within one outer iteration's work) and
 // returns ctx's error. A guest blocked inside an inner solve is abandoned
 // per the sandbox contract, so cancellation never waits on a hung inner
-// solve.
+// solve. It runs on a fresh Workspace.
 func (s *Solver) SolveCtx(ctx context.Context, b, x0 []float64) (*Result, error) {
-	return s.solve(ctx, b, x0, nil, 0)
+	return s.solve(ctx, new(Workspace), b, x0, nil, 0)
+}
+
+// Workspace is the Krylov storage of one nested solve at a time, kept for
+// the next: the outer FGMRES solve's krylov.Workspace and the one all its
+// inner GMRES solves share. A solve computes the same bits on a used
+// workspace as on a fresh one. A guest the sandbox gave up on may still be
+// running on the inner storage and reading the outer basis vector it was
+// handed, so after any sandbox report that is not usable the solve drops
+// both and continues on fresh ones; the workspace never holds storage such
+// a guest can reach. The zero value is ready to use. A Workspace serves one
+// solve at a time, and no Solver keeps one, so concurrent solves on one
+// Solver stay independent.
+type Workspace struct {
+	outer, inner *krylov.Workspace
+}
+
+// Solve is s.SolveCtx(ctx, b, nil) on ws's storage.
+func (ws *Workspace) Solve(ctx context.Context, s *Solver, b []float64) (*Result, error) {
+	return s.solve(ctx, ws, b, nil, nil, 0)
+}
+
+// Resume is SolveResume on ws's storage: the outer iterations after k and
+// every inner solve run on it.
+func (ws *Workspace) Resume(ctx context.Context, s *Solver, b []float64, t *Tape, k int) (*Result, error) {
+	if k < 1 || k >= t.Len() {
+		return nil, fmt.Errorf("core: cannot resume at outer iteration %d from a %d-iteration tape", k, t.Len())
+	}
+	return s.solve(ctx, ws, b, nil, t, k)
+}
+
+// outerWS and innerWS return ws's storage, taking fresh storage in place of
+// a dropped one.
+func (ws *Workspace) outerWS() *krylov.Workspace {
+	if ws.outer == nil {
+		ws.outer = new(krylov.Workspace)
+	}
+	return ws.outer
+}
+
+func (ws *Workspace) innerWS() *krylov.Workspace {
+	if ws.inner == nil {
+		ws.inner = new(krylov.Workspace)
+	}
+	return ws.inner
 }
 
 // Tape records a nested solve's first outer cycle: the outer FGMRES tape,
@@ -369,7 +413,7 @@ func (c *coeffTally) Observe(_ krylov.CoeffContext, h float64) (float64, error) 
 // first outer cycle on a tape. Only the FGMRES outer iteration can be taped.
 func SolveRecord(ctx context.Context, s *Solver, b []float64) (*Result, *Tape, error) {
 	t := &Tape{}
-	res, err := s.solve(ctx, b, nil, t, 0)
+	res, err := s.solve(ctx, new(Workspace), b, nil, t, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -389,18 +433,16 @@ func SolveRecord(ctx context.Context, s *Solver, b []float64) (*Result, *Tape, e
 // have no Recorder or OnOuter, which would miss the restored iterations.
 // k must leave the recorded solve still iterating: 1 ≤ k < t.Len(). The
 // detector's own counters see only the iterations the solve runs; the
-// result's Stats include the restored ones.
+// result's Stats include the restored ones. It runs on a fresh Workspace.
 func SolveResume(ctx context.Context, s *Solver, b []float64, t *Tape, k int) (*Result, error) {
-	if k < 1 || k >= t.Len() {
-		return nil, fmt.Errorf("core: cannot resume at outer iteration %d from a %d-iteration tape", k, t.Len())
-	}
-	return s.solve(ctx, b, nil, t, k)
+	return new(Workspace).Resume(ctx, s, b, t, k)
 }
 
-// solve is the nested solve. With t nil it is plain SolveCtx; with k == 0
-// it records its first outer cycle into t; with k > 0 it resumes from t
-// after k outer iterations.
-func (s *Solver) solve(ctx context.Context, b, x0 []float64, t *Tape, k int) (*Result, error) {
+// solve is the nested solve on ws's storage. With t nil it is plain
+// SolveCtx; with k == 0 it records its first outer cycle into t, on fresh
+// outer storage the tape keeps; with k > 0 it resumes from t after k outer
+// iterations.
+func (s *Solver) solve(ctx context.Context, ws *Workspace, b, x0 []float64, t *Tape, k int) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -446,11 +488,11 @@ func (s *Solver) solve(ctx context.Context, b, x0 []float64, t *Tape, k int) (*R
 				return err
 			}
 			if !taping {
-				s.innerSolve(ctx, j, z, q, stats, nil)
+				s.innerSolve(ctx, ws, j, z, q, stats, nil)
 				return ctx.Err()
 			}
 			tally := &coeffTally{}
-			ok := s.innerSolve(ctx, j, z, q, stats, tally)
+			ok := s.innerSolve(ctx, ws, j, z, q, stats, tally)
 			t.note(*stats, tally, ok)
 			return ctx.Err()
 		})
@@ -484,9 +526,9 @@ func (s *Solver) solve(ctx context.Context, b, x0 []float64, t *Tape, k int) (*R
 			}
 			switch {
 			case cycle > 0 || t == nil:
-				res, err = krylov.FGMRESCtx(ctx, s.a, b, x, provider, opts)
+				res, err = ws.outerWS().FGMRES(ctx, s.a, b, x, provider, opts)
 			case k > 0:
-				res, err = krylov.FGMRESResume(ctx, s.a, b, x, provider, opts, &t.outer, k)
+				res, err = ws.outerWS().FGMRESResume(ctx, s.a, b, x, provider, opts, &t.outer, k)
 			default:
 				res, err = krylov.FGMRESRecord(ctx, s.a, b, x, provider, opts, &t.outer)
 			}
@@ -522,13 +564,13 @@ func (s *Solver) solve(ctx context.Context, b, x0 []float64, t *Tape, k int) (*R
 }
 
 // innerSolve runs one (possibly faulty) inner GMRES solve under the
-// sandbox, honouring the detector response policy. It always leaves a
-// usable vector in z: the inner result when the sandbox reports success,
-// or q itself (identity preconditioning) when the guest failed outright.
-// A non-nil tally observes every coefficient after the detector; innerSolve
-// reports false when a guest failed, which may leave it still running and
-// the tally unsafe to read.
-func (s *Solver) innerSolve(ctx context.Context, j int, z, q []float64, stats *Stats, tally *coeffTally) bool {
+// sandbox on ws's inner storage, honouring the detector response policy.
+// It always leaves a usable vector in z: the inner result when the sandbox
+// reports success, or q itself (identity preconditioning) when the guest
+// failed outright. A non-nil tally observes every coefficient after the
+// detector; innerSolve reports false when a guest failed, which may leave
+// it still running and the tally unsafe to read.
+func (s *Solver) innerSolve(ctx context.Context, ws *Workspace, j int, z, q []float64, stats *Stats, tally *coeffTally) bool {
 	onErr := krylov.DetectRecord
 	if s.cfg.Detector.Enabled && s.cfg.Detector.Response != ResponseWarn {
 		onErr = krylov.DetectHalt
@@ -576,8 +618,9 @@ func (s *Solver) innerSolve(ctx context.Context, j int, z, q []float64, stats *S
 	}
 	for attempt := 0; attempt < attempts; attempt++ {
 		var inner *krylov.Result
+		kws := ws.innerWS()
 		rep := sandbox.RunCtx(ctx, s.cfg.SandboxBudget, func() error {
-			r, err := krylov.GMRES(op, q, nil, opts)
+			r, err := kws.GMRES(context.Background(), op, q, nil, opts)
 			if err != nil {
 				return err
 			}
@@ -587,7 +630,8 @@ func (s *Solver) innerSolve(ctx context.Context, j int, z, q []float64, stats *S
 		rec.SandboxOutcome(j, rep.Outcome.String(), rep.Usable(), float64(rep.Elapsed)/float64(time.Millisecond))
 		if !rep.Usable() || inner == nil {
 			stats.SandboxFailures++
-			copy(z, q) // reliable fallback: identity preconditioning
+			ws.inner, ws.outer = nil, nil // the guest may still be using them
+			copy(z, q)                    // reliable fallback: identity preconditioning
 			return false
 		}
 		stats.InnerIterations += inner.Iterations

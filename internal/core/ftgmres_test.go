@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -696,4 +698,50 @@ func TestFTGMRESConfigDefaults(t *testing.T) {
 	if s.Detector() != nil {
 		t.Fatal("detector should be nil when disabled")
 	}
+}
+
+// TestConcurrentSolvesOnOneSolver: a Solver keeps no workspace, so solves
+// on it from several goroutines at once, and repeated solves on one reused
+// Workspace, give the bits of a lone solve. Run it under -race.
+func TestConcurrentSolvesOnOneSolver(t *testing.T) {
+	s, b := poissonSolver(8, Config{MaxOuter: 20, OuterTol: 1e-8, Inner: InnerConfig{Iterations: 8}})
+	want, err := s.Solve(b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(got *Result) bool {
+		if got.Stats != want.Stats || len(got.X) != len(want.X) || len(got.ResidualHistory) != len(want.ResidualHistory) {
+			return false
+		}
+		for i := range got.X {
+			if math.Float64bits(got.X[i]) != math.Float64bits(want.X[i]) {
+				return false
+			}
+		}
+		for i := range got.ResidualHistory {
+			if math.Float64bits(got.ResidualHistory[i]) != math.Float64bits(want.ResidualHistory[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	const goroutines = 4
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func() {
+			defer wg.Done()
+			ws := new(Workspace)
+			for i := 0; i < 3; i++ {
+				got, err := s.SolveCtx(context.Background(), b, nil)
+				if err != nil || !same(got) {
+					t.Errorf("goroutine %d: concurrent solve differs from a lone one (err %v)", g, err)
+				}
+				if got, err = ws.Solve(context.Background(), s, b); err != nil || !same(got) {
+					t.Errorf("goroutine %d: solve %d on a reused workspace differs from a lone one (err %v)", g, i, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

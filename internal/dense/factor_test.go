@@ -498,3 +498,60 @@ func sizeTag(n int) string {
 		return "k10"
 	}
 }
+
+// TestHessLSQResetAllocatesNothing: a reset HessLSQ of the same size
+// appends and solves on its own storage. Every column allocated before
+// Reset existed.
+func TestHessLSQResetAllocatesNothing(t *testing.T) {
+	const k = 10
+	l, cols := buildHess(rand.New(rand.NewSource(44)), k, 1.5)
+	allocs := testing.AllocsPerRun(20, func() {
+		l.Reset(k, 1.5)
+		for _, c := range cols {
+			l.AppendColumn(c)
+		}
+		l.SolveTriangular()
+	})
+	if allocs != 0 {
+		t.Fatalf("Reset + %d AppendColumn + SolveTriangular: %v allocations, want 0", k, allocs)
+	}
+}
+
+// TestHessLSQResetMatchesFresh: a HessLSQ reset after a larger solve, with
+// every buffer it keeps filled with NaN, gives the bits a new one gives.
+func TestHessLSQResetMatchesFresh(t *testing.T) {
+	const k = 8
+	rng := rand.New(rand.NewSource(45))
+	used, _ := buildHess(rng, k, 3)
+	_, cols := buildHess(rng, k, 2)
+	nan := math.NaN()
+	for _, buf := range [][]float64{used.h.Data, used.r.Data, used.g, used.above[:cap(used.above)],
+		used.y[:cap(used.y)], used.ice.xmin[:cap(used.ice.xmin)], used.ice.xmax[:cap(used.ice.xmax)]} {
+		for i := range buf {
+			buf[i] = nan
+		}
+	}
+	fresh := NewHessLSQ(k, 2)
+	used.Reset(k, 2)
+	for j := 0; j < k-2; j++ { // leave the last columns unwritten
+		if a, b := used.AppendColumn(cols[j]), fresh.AppendColumn(cols[j]); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("column %d: residual %g, want %g", j, a, b)
+		}
+	}
+	same := func(what string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d entries, want %d", what, len(got), len(want))
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s[%d] = %g, want %g", what, i, got[i], want[i])
+			}
+		}
+	}
+	same("H", used.HColumnwise().Data, fresh.HColumnwise().Data)
+	same("SolveTriangular", used.SolveTriangular(), fresh.SolveTriangular())
+	same("SolveRankRevealing", used.SolveRankRevealing(1e-12), fresh.SolveRankRevealing(1e-12))
+	same("conditions", []float64{used.RCondICE(), used.RCondSVD(), used.RCondEst(), used.ResidualNorm()},
+		[]float64{fresh.RCondICE(), fresh.RCondSVD(), fresh.RCondEst(), fresh.ResidualNorm()})
+}

@@ -20,31 +20,56 @@ type HessLSQ struct {
 	maxIter int
 	k       int // columns appended so far
 
-	beta float64
-	h    *Matrix   // raw Hessenberg, (maxIter+1) x maxIter
-	r    *Matrix   // rotated (triangular) copy
-	g    []float64 // rotated rhs, length maxIter+1
-	rots []Givens
-	ice  *ICE // O(k)-per-column condition monitor of the triangular factor
+	beta  float64
+	h     *Matrix   // raw Hessenberg, (maxIter+1) x maxIter
+	r     *Matrix   // rotated (triangular) copy
+	g     []float64 // rotated rhs, length maxIter+1
+	rots  []Givens
+	ice   ICE       // O(k)-per-column condition monitor of the triangular factor
+	above []float64 // AppendColumn's scratch: the new column above the diagonal
+	y     []float64 // SolveTriangular's result
 }
 
 // NewHessLSQ prepares the incremental solver for up to maxIter iterations
 // with initial residual norm beta (the rhs is β e1).
 func NewHessLSQ(maxIter int, beta float64) *HessLSQ {
-	if maxIter <= 0 {
-		panic(fmt.Sprintf("dense.NewHessLSQ: maxIter = %d", maxIter))
-	}
-	l := &HessLSQ{
-		maxIter: maxIter,
-		beta:    beta,
-		h:       NewMatrix(maxIter+1, maxIter),
-		r:       NewMatrix(maxIter+1, maxIter),
-		g:       make([]float64, maxIter+1),
-		rots:    make([]Givens, 0, maxIter),
-		ice:     NewICE(),
-	}
-	l.g[0] = beta
+	l := &HessLSQ{}
+	l.Reset(maxIter, beta)
 	return l
+}
+
+// Reset prepares l for a new solve of up to maxIter iterations with initial
+// residual norm beta, as NewHessLSQ would. It reuses l's storage when l was
+// built for the same maxIter, so a solver running many solves of one size
+// allocates nothing here after the first; nothing of the previous solve
+// shows through.
+func (l *HessLSQ) Reset(maxIter int, beta float64) {
+	if maxIter <= 0 {
+		panic(fmt.Sprintf("dense.HessLSQ: maxIter = %d", maxIter))
+	}
+	if l.maxIter != maxIter {
+		*l = HessLSQ{
+			maxIter: maxIter,
+			h:       NewMatrix(maxIter+1, maxIter),
+			r:       NewMatrix(maxIter+1, maxIter),
+			g:       make([]float64, maxIter+1),
+			rots:    make([]Givens, 0, maxIter),
+			ice:     ICE{xmin: make([]float64, 0, maxIter), xmax: make([]float64, 0, maxIter)},
+			above:   make([]float64, maxIter),
+			y:       make([]float64, maxIter),
+		}
+	} else {
+		// Both matrices are read below the last written row (HColumnwise,
+		// the SVD policies), where a fresh matrix holds zeros.
+		clear(l.h.Data)
+		clear(l.r.Data)
+		clear(l.g)
+		l.rots = l.rots[:0]
+		l.ice.reset()
+	}
+	l.k = 0
+	l.beta = beta
+	l.g[0] = beta
 }
 
 // K returns the number of columns appended so far.
@@ -84,7 +109,7 @@ func (l *HessLSQ) AppendColumn(h []float64) float64 {
 	a, b := rot.Apply(l.g[j], l.g[j+1])
 	l.g[j], l.g[j+1] = a, b
 	// Feed the incremental condition estimator the new triangular column.
-	above := make([]float64, j)
+	above := l.above[:j]
 	for i := 0; i < j; i++ {
 		above[i] = l.r.At(i, j)
 	}
@@ -99,9 +124,10 @@ func (l *HessLSQ) ResidualNorm() float64 { return math.Abs(l.g[l.k]) }
 // SolveTriangular returns the update coefficients via back-substitution on
 // the rotated triangular factor (Section VI-D, Approach 1). A singular R
 // produces Inf/NaN coefficients rather than an error, mirroring the paper's
-// discussion of IEEE-754's "natural error detection".
+// discussion of IEEE-754's "natural error detection". The result is l's own
+// storage, valid until the next SolveTriangular or Reset.
 func (l *HessLSQ) SolveTriangular() []float64 {
-	return SolveUpperTriangular(l.r, l.g[:l.k])
+	return backSubstitute(l.y[:l.k], l.r, l.g[:l.k])
 }
 
 // SolveRankRevealing returns the minimum-norm update coefficients via a

@@ -17,15 +17,18 @@ import (
 // SigmaMinEst never falls below the true σmin... in exact arithmetic the
 // construction guarantees σ̂max ≤ σmax and σ̂min ≥ σmin, so CondEst is a
 // *lower bound* on the true condition number — exactly the right direction
-// for a rank-deficiency alarm (no false positives).
+// for a rank-deficiency alarm (no false positives). The zero value is an
+// empty estimator.
 type ICE struct {
 	k          int
 	xmin, xmax []float64
 	smin, smax float64
 }
 
-// NewICE returns an empty estimator.
-func NewICE() *ICE { return &ICE{} }
+// reset empties the estimator, keeping its storage for the next matrix.
+func (e *ICE) reset() {
+	*e = ICE{xmin: e.xmin[:0], xmax: e.xmax[:0]}
+}
 
 // K returns the number of columns absorbed.
 func (e *ICE) K() int { return e.k }
@@ -37,8 +40,8 @@ func (e *ICE) Append(col []float64, diag float64) {
 		panic(fmt.Sprintf("dense.ICE: column has %d entries above diagonal, want %d", len(col), e.k))
 	}
 	if e.k == 0 {
-		e.xmin = []float64{1}
-		e.xmax = []float64{1}
+		e.xmin = append(e.xmin[:0], 1)
+		e.xmax = append(e.xmax[:0], 1)
 		e.smin = math.Abs(diag)
 		e.smax = math.Abs(diag)
 		e.k = 1
@@ -49,7 +52,8 @@ func (e *ICE) Append(col []float64, diag float64) {
 	e.k++
 }
 
-// update extends one extreme-singular-pair estimate. The extended left
+// update extends one extreme-singular-pair estimate, overwriting x with
+// the first len(x) entries of the extended vector. The extended left
 // vector is x' = (s·x, c) with s²+c² = 1; ‖x'ᵀ R'‖² is the quadratic form
 // of the 2×2 matrix M = [[σ̂²+α², αγ], [αγ, γ²]] with α = xᵀ·col and
 // γ = diag. Choosing the extreme eigenpair of M extremizes the estimate.
@@ -62,12 +66,10 @@ func (e *ICE) update(sigma float64, x []float64, col []float64, diag float64, wa
 	b := alpha * diag
 	c := diag * diag
 	lambda, s, co := eig2x2(a, b, c, wantMax)
-	nx := make([]float64, len(x)+1)
 	for i, v := range x {
-		nx[i] = s * v
+		x[i] = s * v
 	}
-	nx[len(x)] = co
-	return math.Sqrt(math.Max(lambda, 0)), nx
+	return math.Sqrt(math.Max(lambda, 0)), append(x, co)
 }
 
 // eig2x2 returns the requested extreme eigenvalue of [[a,b],[b,c]] and the

@@ -10,7 +10,7 @@ import (
 // feedTriangular pushes the columns of an upper-triangular matrix into an
 // ICE estimator.
 func feedTriangular(r *Matrix) *ICE {
-	e := NewICE()
+	e := new(ICE)
 	for j := 0; j < r.Cols; j++ {
 		above := make([]float64, j)
 		for i := 0; i < j; i++ {
@@ -36,7 +36,7 @@ func TestICEDiagonalExact(t *testing.T) {
 }
 
 func TestICEEmptyAndSingleColumn(t *testing.T) {
-	e := NewICE()
+	e := new(ICE)
 	if e.CondEst() != 1 || e.K() != 0 {
 		t.Fatal("empty estimator state")
 	}
@@ -47,7 +47,7 @@ func TestICEEmptyAndSingleColumn(t *testing.T) {
 }
 
 func TestICEZeroPivotGivesInfiniteCond(t *testing.T) {
-	e := NewICE()
+	e := new(ICE)
 	e.Append(nil, 2)
 	e.Append([]float64{1}, 0)
 	if !math.IsInf(e.CondEst(), 1) {
@@ -56,7 +56,7 @@ func TestICEZeroPivotGivesInfiniteCond(t *testing.T) {
 }
 
 func TestICEWrongColumnLengthPanics(t *testing.T) {
-	e := NewICE()
+	e := new(ICE)
 	e.Append(nil, 1)
 	defer func() {
 		if recover() == nil {

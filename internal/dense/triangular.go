@@ -16,7 +16,13 @@ func SolveUpperTriangular(r *Matrix, z []float64) []float64 {
 	if r.Rows < n || r.Cols < n {
 		panic(fmt.Sprintf("dense.SolveUpperTriangular: R is %dx%d, need at least %dx%d", r.Rows, r.Cols, n, n))
 	}
-	y := make([]float64, n)
+	return backSubstitute(make([]float64, n), r, z)
+}
+
+// backSubstitute is SolveUpperTriangular writing y, which has len(z)
+// entries, and returning it.
+func backSubstitute(y []float64, r *Matrix, z []float64) []float64 {
+	n := len(z)
 	for i := n - 1; i >= 0; i-- {
 		s := z[i]
 		for j := i + 1; j < n; j++ {

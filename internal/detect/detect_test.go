@@ -255,3 +255,19 @@ func ones(n int) []float64 {
 	}
 	return x
 }
+
+// TestSpectralBoundComputedOncePerMatrix: the power method behind the
+// spectral bound runs once per matrix. A second detector on the same matrix
+// gets the same bound bits and allocates nothing but itself.
+func TestSpectralBoundComputedOncePerMatrix(t *testing.T) {
+	a := gallery.Poisson2D(12)
+	want := NewDetector(a, SpectralBound).Bound()
+	allocs := testing.AllocsPerRun(10, func() {
+		if got := NewDetector(a, SpectralBound).Bound(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("second detector's bound %g, want %g", got, want)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("NewDetector on a matrix with a known bound: %v allocations, want 1 (the detector)", allocs)
+	}
+}

@@ -23,7 +23,10 @@ import (
 // serving many campaign generations (a full paperfigs run hosts one per
 // figure series) calibrates each problem once. Calibration is
 // deterministic, which is what lets a remote worker reproduce the
-// coordinator's problems from the manifest alone.
+// coordinator's problems from the manifest alone. A cached problem also
+// keeps its nested-solve workspaces (one per unit that ran on it at once),
+// so the worker's later units on it reuse that Krylov storage; the memory
+// lives as long as the cache holds the problem.
 type ProblemCache struct {
 	mu       sync.Mutex
 	problems map[string]*expt.Problem

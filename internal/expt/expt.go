@@ -28,6 +28,13 @@ import (
 // on a problem built by Calibrate resume from its failure-free solve, which
 // stays valid only while A, B and the solver parameters do: change none of
 // them afterwards.
+//
+// A problem is read-only apart from its internally synchronized list of
+// nested-solve workspaces: RunPoint takes one per unit and returns it, so
+// units on one problem, from any number of goroutines, reuse Krylov storage
+// sized by the problem instead of allocating it. The list holds as many
+// workspaces as units have run on the problem at once, and its memory goes
+// with the problem.
 type Problem struct {
 	// Name labels the problem in reports.
 	Name string
@@ -51,6 +58,40 @@ type Problem struct {
 	// faulted runs resume (see resumeAt); nil for a problem built without
 	// Calibrate. Read-only once set.
 	tape *core.Tape
+	// work is the free list of workspaces, behind a pointer so a Problem
+	// copied by value shares it; nil for a Problem built as a literal,
+	// whose units allocate their storage.
+	work *workspaces
+}
+
+// workspaces is a free list of nested-solve workspaces.
+type workspaces struct {
+	mu   sync.Mutex
+	free []*core.Workspace
+}
+
+// get takes a workspace off the list, or returns a fresh one.
+func (w *workspaces) get() *core.Workspace {
+	if w != nil {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		if n := len(w.free); n > 0 {
+			ws := w.free[n-1]
+			w.free = w.free[:n-1]
+			return ws
+		}
+	}
+	return new(core.Workspace)
+}
+
+// put returns ws to the list.
+func (w *workspaces) put(ws *core.Workspace) {
+	if w == nil {
+		return
+	}
+	w.mu.Lock()
+	w.free = append(w.free, ws)
+	w.mu.Unlock()
 }
 
 // Config builds a core.Config for this problem with the given detector.
@@ -104,6 +145,7 @@ func Calibrate(name string, a *sparse.CSR, innerIters, targetOuter int) (*Proble
 		InnerIters: innerIters,
 		OuterTol:   tol,
 		MaxOuter:   4*targetOuter + 20,
+		work:       &workspaces{},
 	}
 	ff, tape, err := p.failureFree()
 	if err != nil {
@@ -285,13 +327,15 @@ func runPoint(ctx context.Context, p *Problem, cfg SweepConfig, aggregate int) (
 }
 
 // solve runs s on p's system for a run whose one fault lies at the given
-// aggregate inner iteration: resumed from p's failure-free tape when
-// resumeAt allows it, from scratch otherwise.
+// aggregate inner iteration, on a workspace from p's list: resumed from p's
+// failure-free tape when resumeAt allows it, from scratch otherwise.
 func (p *Problem) solve(ctx context.Context, s *core.Solver, aggregate int) (*core.Result, error) {
+	ws := p.work.get()
+	defer p.work.put(ws)
 	if k := p.resumeAt(s, aggregate); k > 0 {
-		return core.SolveResume(ctx, s, p.B, p.tape, k)
+		return ws.Resume(ctx, s, p.B, p.tape, k)
 	}
-	return s.SolveCtx(ctx, p.B, nil)
+	return ws.Solve(ctx, s, p.B)
 }
 
 // resumeAt returns how many outer iterations of p's failure-free tape a

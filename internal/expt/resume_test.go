@@ -217,7 +217,9 @@ func TestResumeFallsBackToScratch(t *testing.T) {
 // TestPrefixSharedAcrossGoroutines resumes units of one problem from 8
 // goroutines at once. Run it under -race: the tape is shared read-only, so
 // any write to it after capture is a reported race, and the points must
-// equal the sequential from-scratch ones.
+// equal the sequential from-scratch ones. The goroutines also share the
+// problem's workspaces: each unit returns its own for any other to take,
+// so the list ends with at most one per goroutine.
 func TestPrefixSharedAcrossGoroutines(t *testing.T) {
 	p := testProblem(t)
 	scratch := untaped(p)
@@ -255,6 +257,9 @@ func TestPrefixSharedAcrossGoroutines(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
+	if n := len(p.work.free); n < 1 || n > goroutines {
+		t.Errorf("%d units left %d workspaces on the list, want 1 to %d", goroutines*perG, n, goroutines)
+	}
 	for g := range got {
 		for i := range got[g] {
 			if got[g][i] != want[g][i] {

@@ -20,20 +20,21 @@ type orthoResult struct {
 // orthogonalize makes w orthogonal to the basis q[0..j] in place and runs
 // the hook chain over every coefficient it produces. j is the 0-based
 // Arnoldi iteration. The returned column is what the solver must append to
-// the projected problem; w is left scaled so that dividing by h[j+1]
-// normalizes it.
+// the projected problem; it is ws's storage, overwritten by the next step.
+// w is left scaled so that dividing by h[j+1] normalizes it.
 //
 // The fault model of the paper acts here: a corrupted projection
 // coefficient both lands in H and drives the basis update (for MGS it
 // "taints all subsequent iterations of the orthogonalization loop" —
 // Section VII-B), exactly as the paper describes.
-func orthogonalize(q [][]float64, w []float64, j int, opts *Options, events *[]HookEvent) orthoResult {
+func orthogonalize(ws *Workspace, q [][]float64, w []float64, j int, opts *Options, events *[]HookEvent) orthoResult {
 	ctx := CoeffContext{
 		OuterIteration: opts.OuterIteration,
 		InnerIteration: j + 1,
 		AggregateInner: opts.AggregateBase + j + 1,
 	}
-	h := make([]float64, j+2)
+	ws.col = scratch(ws.col, opts.MaxIter+1)
+	h := ws.col[:j+2]
 	halt := false
 	project := func(i int, raw float64) float64 {
 		c := ctx
@@ -50,7 +51,8 @@ func orthogonalize(q [][]float64, w []float64, j int, opts *Options, events *[]H
 	switch opts.Ortho {
 	case CGS:
 		// Classical Gram-Schmidt: all projections against the original w.
-		raw := make([]float64, j+1)
+		ws.raw = scratch(ws.raw, opts.MaxIter)
+		raw := ws.raw[:j+1]
 		for i := 0; i <= j; i++ {
 			raw[i] = kernel.Dot(opts.Pool, q[i], w)
 		}
@@ -68,7 +70,8 @@ func orthogonalize(q [][]float64, w []float64, j int, opts *Options, events *[]H
 		// Hooks observe the first-pass coefficients — the ones a fault
 		// would corrupt; the silent correction pass is the re-orthogonal-
 		// ization machinery itself.
-		raw := make([]float64, j+1)
+		ws.raw = scratch(ws.raw, opts.MaxIter)
+		raw := ws.raw[:j+1]
 		for i := 0; i <= j; i++ {
 			raw[i] = kernel.Dot(opts.Pool, q[i], w)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"sdcgmres/internal/dense"
 	"sdcgmres/internal/kernel"
 	"sdcgmres/internal/vec"
 )
@@ -56,9 +55,16 @@ func FGMRES(a Operator, b, x0 []float64, provider PrecondProvider, opts FGMRESOp
 // FGMRESCtx is FGMRES with cancellation: ctx is checked before every outer
 // iteration (the preconditioner application — an inner solve in FT-GMRES —
 // carries its own cancellation seam), and a solve cut short returns an
-// error matching both ErrCanceled and ctx.Err() under errors.Is.
+// error matching both ErrCanceled and ctx.Err() under errors.Is. It runs on
+// a fresh Workspace.
 func FGMRESCtx(ctx context.Context, a Operator, b, x0 []float64, provider PrecondProvider, opts FGMRESOptions) (*Result, error) {
-	return fgmres(ctx, a, b, x0, provider, opts, nil, 0)
+	return new(Workspace).FGMRES(ctx, a, b, x0, provider, opts)
+}
+
+// FGMRES is FGMRESCtx on ws's storage. The result's X is its own; its
+// ResidualHistory is ws's storage, valid until ws's next solve.
+func (ws *Workspace) FGMRES(ctx context.Context, a Operator, b, x0 []float64, provider PrecondProvider, opts FGMRESOptions) (*Result, error) {
+	return ws.fgmres(ctx, a, b, x0, provider, opts, nil, 0)
 }
 
 // Tape is the record of one FGMRES solve's outer iterations: the outer
@@ -87,9 +93,10 @@ type tapeStep struct {
 func (t *Tape) Len() int { return len(t.steps) }
 
 // FGMRESRecord is FGMRESCtx that also records the solve on t, which must be
-// empty. The tape is filled only when the solve returns without error.
+// empty. The tape is filled only when the solve returns without error. The
+// tape keeps the vectors of the solve's fresh workspace.
 func FGMRESRecord(ctx context.Context, a Operator, b, x0 []float64, provider PrecondProvider, opts FGMRESOptions, t *Tape) (*Result, error) {
-	return fgmres(ctx, a, b, x0, provider, opts, t, 0)
+	return new(Workspace).fgmres(ctx, a, b, x0, provider, opts, t, 0)
 }
 
 // FGMRESResume is FGMRESCtx for a solve whose first k outer iterations are
@@ -103,17 +110,27 @@ func FGMRESRecord(ctx context.Context, a Operator, b, x0 []float64, provider Pre
 // options as the recording, and a provider whose first k preconditioner
 // applications would return what the recorded ones did. Hooks, Recorder
 // and OnIteration observe only the iterations the resumed solve runs. k
-// must leave the recorded solve still iterating: 1 ≤ k < t.Len().
+// must leave the recorded solve still iterating: 1 ≤ k < t.Len(). It runs
+// on a fresh Workspace.
 func FGMRESResume(ctx context.Context, a Operator, b, x0 []float64, provider PrecondProvider, opts FGMRESOptions, t *Tape, k int) (*Result, error) {
+	return new(Workspace).FGMRESResume(ctx, a, b, x0, provider, opts, t, k)
+}
+
+// FGMRESResume is the package-level FGMRESResume on ws's storage for the
+// iterations after k; the first k+1 basis vectors and k preconditioned
+// vectors stay the tape's. The result's X is its own; its ResidualHistory
+// is ws's storage, valid until ws's next solve.
+func (ws *Workspace) FGMRESResume(ctx context.Context, a Operator, b, x0 []float64, provider PrecondProvider, opts FGMRESOptions, t *Tape, k int) (*Result, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("krylov: cannot resume at outer iteration %d", k)
 	}
-	return fgmres(ctx, a, b, x0, provider, opts, t, k)
+	return ws.fgmres(ctx, a, b, x0, provider, opts, t, k)
 }
 
-// fgmres is the FGMRES solve. With t nil it is plain FGMRESCtx; with k == 0
-// it records into t; with k > 0 it resumes from t after k iterations.
-func fgmres(ctx context.Context, a Operator, b, x0 []float64, provider PrecondProvider, opts FGMRESOptions, t *Tape, k int) (*Result, error) {
+// fgmres is the FGMRES solve on ws's storage. With t nil it is plain
+// FGMRESCtx; with k == 0 it records into t; with k > 0 it resumes from t
+// after k iterations.
+func (ws *Workspace) fgmres(ctx context.Context, a Operator, b, x0 []float64, provider PrecondProvider, opts FGMRESOptions, t *Tape, k int) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -132,28 +149,28 @@ func fgmres(ctx context.Context, a Operator, b, x0 []float64, provider PrecondPr
 	if k > 0 && (k >= t.Len() || k >= o.MaxIter || len(t.q[0]) != n) {
 		return nil, fmt.Errorf("krylov: cannot resume at outer iteration %d from a %d-iteration tape", k, t.Len())
 	}
+	// The iterate is the caller's, never the workspace's.
 	x := make([]float64, n)
 	if x0 != nil {
 		copy(x, x0)
 	}
-	res := &Result{}
 	normB := kernel.Norm2(o.Pool, b)
 	if normB == 0 {
-		res.X = x
-		res.Converged = true
-		return res, nil
+		return &Result{X: x, Converged: true}, nil
 	}
+	ws.start(n)
+	res := &Result{ResidualHistory: ws.hist[:0]}
 
 	var beta float64
-	q := make([][]float64, 0, o.MaxIter+1)
-	z := make([][]float64, 0, o.MaxIter)
-	var lsq *dense.HessLSQ
+	ws.q, ws.z = scratch(ws.q, o.MaxIter+1), scratch(ws.z, o.MaxIter) // never outgrown
+	q, z := ws.q[:0], ws.z[:0]
+	lsq := &ws.lsq
 	var steps []tapeStep
 	if k > 0 {
 		beta = t.beta
 		q = append(q, t.q[:k+1]...)
 		z = append(z, t.z[:k]...)
-		lsq = dense.NewHessLSQ(o.MaxIter, beta)
+		lsq.Reset(o.MaxIter, beta)
 		for _, st := range t.steps[:k] {
 			lsq.AppendColumn(st.h)
 			res.ResidualHistory = append(res.ResidualHistory, st.rel)
@@ -162,7 +179,7 @@ func fgmres(ctx context.Context, a Operator, b, x0 []float64, provider PrecondPr
 		res.Work = t.steps[k-1].work
 		res.FallbackUsed = t.steps[k-1].fallback
 	} else {
-		r0 := make([]float64, n)
+		r0 := ws.at(&ws.basis, 0)
 		matVec(o.Pool, a, r0, x)
 		res.Work.SpMVs++
 		vec.Sub(r0, b, r0)
@@ -175,20 +192,20 @@ func fgmres(ctx context.Context, a Operator, b, x0 []float64, provider PrecondPr
 		}
 		kernel.Scale(o.Pool, 1/beta, r0)
 		q = append(q, r0)
-		lsq = dense.NewHessLSQ(o.MaxIter, beta)
+		lsq.Reset(o.MaxIter, beta)
 	}
 
-	w := make([]float64, n)
+	w := ws.vec(&ws.w)
 	var cand, r []float64 // explicit-residual scratch, reused every iteration
 	if opts.ExplicitResidual {
-		cand, r = make([]float64, n), make([]float64, n)
+		cand, r = ws.vec(&ws.cand), ws.vec(&ws.r)
 	}
 	for j := k; j < o.MaxIter; j++ {
 		if err := ctxOK(ctx); err != nil {
 			return nil, err
 		}
 		// Apply the (possibly different, possibly faulty) preconditioner.
-		zj := make([]float64, n)
+		zj := ws.at(&ws.zs, j)
 		m := provider(j + 1)
 		if m == nil {
 			m = IdentityPreconditioner
@@ -200,7 +217,7 @@ func fgmres(ctx context.Context, a Operator, b, x0 []float64, provider PrecondPr
 		matVec(o.Pool, a, w, zj)
 		res.Work.SpMVs++
 
-		or := orthogonalize(q, w, j, &o, &res.HookEvents)
+		or := orthogonalize(ws, q, w, j, &o, &res.HookEvents)
 		res.Work.OrthoFlops += or.flops
 		if or.halted {
 			res.Halted = true
@@ -224,7 +241,8 @@ func fgmres(ctx context.Context, a Operator, b, x0 []float64, provider PrecondPr
 			}
 			res.Breakdown = true
 		} else {
-			qn := vec.Clone(w)
+			qn := ws.at(&ws.basis, j+1)
+			copy(qn, w)
 			kernel.Scale(o.Pool, 1/hj1, qn)
 			q = append(q, qn)
 		}
@@ -244,7 +262,8 @@ func fgmres(ctx context.Context, a Operator, b, x0 []float64, provider PrecondPr
 			opts.OnIteration(j+1, rel)
 		}
 		if recording {
-			steps = append(steps, tapeStep{h: or.h, rel: rel, work: res.Work, fallback: res.FallbackUsed})
+			h := append([]float64(nil), or.h...) // or.h is the workspace's
+			steps = append(steps, tapeStep{h: h, rel: rel, work: res.Work, fallback: res.FallbackUsed})
 		}
 		if (o.Tol > 0 && rel <= o.Tol) || res.Breakdown {
 			res.Converged = o.Tol > 0 && rel <= o.Tol || res.Breakdown
@@ -257,11 +276,13 @@ func fgmres(ctx context.Context, a Operator, b, x0 []float64, provider PrecondPr
 		applyUpdate(o.Pool, x, z, y)
 	}
 	if recording {
-		// Nothing writes these vectors or columns after they were appended,
-		// so the tape keeps them as they are.
+		// Nothing writes these vectors after they were appended, and
+		// nothing else uses the recording's fresh workspace, so the tape
+		// keeps them as they are.
 		t.beta, t.q, t.z, t.steps = beta, q, z, steps
 	}
 	res.X = x
+	ws.hist = res.ResidualHistory[:0]
 	if k := len(res.ResidualHistory); k > 0 {
 		res.FinalResidual = res.ResidualHistory[k-1]
 	} else {

@@ -26,8 +26,15 @@ func GMRES(a Operator, b, x0 []float64, opts Options) (*Result, error) {
 
 // GMRESCtx is GMRES with cancellation: ctx is checked before every Arnoldi
 // iteration, and a solve cut short returns an error matching both
-// ErrCanceled and ctx.Err() under errors.Is.
+// ErrCanceled and ctx.Err() under errors.Is. It runs on a fresh Workspace.
 func GMRESCtx(ctx context.Context, a Operator, b, x0 []float64, opts Options) (*Result, error) {
+	return new(Workspace).GMRES(ctx, a, b, x0, opts)
+}
+
+// GMRES is GMRESCtx on ws's storage; a restarted solve reuses one basis
+// across its cycles. The result's X and ResidualHistory are ws's storage,
+// valid until ws's next solve.
+func (ws *Workspace) GMRES(ctx context.Context, a Operator, b, x0 []float64, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -35,10 +42,12 @@ func GMRESCtx(ctx context.Context, a Operator, b, x0 []float64, opts Options) (*
 	if err := checkSystem(a, b, x0); err != nil {
 		return nil, err
 	}
-	n := a.Rows()
-	x := make([]float64, n)
+	ws.start(a.Rows())
+	x := ws.vec(&ws.x)
 	if x0 != nil {
 		copy(x, x0)
+	} else {
+		clear(x)
 	}
 	normB := kernel.Norm2(opts.Pool, b)
 	if normB == 0 {
@@ -46,9 +55,9 @@ func GMRESCtx(ctx context.Context, a Operator, b, x0 []float64, opts Options) (*
 		return &Result{X: x, Converged: true, FinalResidual: 0}, nil
 	}
 
-	res := &Result{}
+	res := &Result{ResidualHistory: ws.hist[:0]}
 	for cycle := 0; ; cycle++ {
-		cy := gmresCycle(ctx, a, b, x, normB, &opts, res)
+		cy := gmresCycle(ctx, ws, a, b, x, normB, &opts, res)
 		if cy.err != nil {
 			return nil, cy.err
 		}
@@ -63,7 +72,7 @@ func GMRESCtx(ctx context.Context, a Operator, b, x0 []float64, opts Options) (*
 		}
 		// Restart: explicit residual check guards against the drift between
 		// projected and true residuals across cycles.
-		r := make([]float64, n)
+		r := ws.vec(&ws.r)
 		matVec(opts.Pool, a, r, x)
 		res.Work.SpMVs++
 		vec.Sub(r, b, r)
@@ -74,6 +83,7 @@ func GMRESCtx(ctx context.Context, a Operator, b, x0 []float64, opts Options) (*
 		}
 	}
 	res.X = x
+	ws.hist = res.ResidualHistory[:0]
 	if k := len(res.ResidualHistory); k > 0 {
 		res.FinalResidual = res.ResidualHistory[k-1]
 	} else {
@@ -90,10 +100,9 @@ type cycleOutcome struct {
 	err       error
 }
 
-// gmresCycle runs one restart cycle, updating x in place.
-func gmresCycle(ctx context.Context, a Operator, b []float64, x []float64, normB float64, opts *Options, res *Result) cycleOutcome {
-	n := a.Rows()
-	r0 := make([]float64, n)
+// gmresCycle runs one restart cycle on ws's storage, updating x in place.
+func gmresCycle(ctx context.Context, ws *Workspace, a Operator, b []float64, x []float64, normB float64, opts *Options, res *Result) cycleOutcome {
+	r0 := ws.at(&ws.basis, 0)
 	matVec(opts.Pool, a, r0, x)
 	res.Work.SpMVs++
 	vec.Sub(r0, b, r0)
@@ -105,16 +114,17 @@ func gmresCycle(ctx context.Context, a Operator, b []float64, x []float64, normB
 		return cycleOutcome{converged: true}
 	}
 
-	q := make([][]float64, 0, opts.MaxIter+1)
 	kernel.Scale(opts.Pool, 1/beta, r0)
-	q = append(q, r0)
-	lsq := dense.NewHessLSQ(opts.MaxIter, beta)
+	ws.q = scratch(ws.q, opts.MaxIter+1) // the basis never outgrows it
+	q := append(ws.q[:0], r0)
+	lsq := &ws.lsq
+	lsq.Reset(opts.MaxIter, beta)
 
 	out := cycleOutcome{}
-	w := make([]float64, n)
+	w := ws.vec(&ws.w)
 	var z []float64
 	if opts.Precond != nil {
-		z = make([]float64, n)
+		z = ws.vec(&ws.pz)
 	}
 	for j := 0; j < opts.MaxIter; j++ {
 		if err := ctxOK(ctx); err != nil {
@@ -132,7 +142,7 @@ func gmresCycle(ctx context.Context, a Operator, b []float64, x []float64, normB
 			matVec(opts.Pool, a, w, q[j])
 		}
 		res.Work.SpMVs++
-		or := orthogonalize(q, w, j, opts, &res.HookEvents)
+		or := orthogonalize(ws, q, w, j, opts, &res.HookEvents)
 		res.Work.OrthoFlops += or.flops
 		if or.halted {
 			out.halted = true
@@ -155,7 +165,8 @@ func gmresCycle(ctx context.Context, a Operator, b []float64, x []float64, normB
 			break
 		}
 		if j+1 < opts.MaxIter {
-			qn := vec.Clone(w)
+			qn := ws.at(&ws.basis, j+1)
+			copy(qn, w)
 			kernel.Scale(opts.Pool, 1/hj1, qn)
 			q = append(q, qn)
 		}
@@ -169,8 +180,10 @@ func gmresCycle(ctx context.Context, a Operator, b []float64, x []float64, normB
 		return out
 	}
 	// Right-preconditioned update: x += M⁻¹(Q y), one preconditioner
-	// application for the whole combination.
-	s := make([]float64, n)
+	// application for the whole combination, summed in w, which the
+	// Arnoldi loop no longer needs.
+	s := w
+	clear(s)
 	applyUpdate(opts.Pool, s, q, y)
 	if err := opts.Precond.Apply(z, s); err != nil {
 		out.err = fmt.Errorf("krylov: preconditioner failed in solution update: %w", err)

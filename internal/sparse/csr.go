@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"sdcgmres/internal/kernel"
 	"sdcgmres/internal/vec"
@@ -108,12 +109,32 @@ func (b *Builder) Build() *CSR {
 
 // CSR is a compressed-sparse-row matrix. It is immutable after assembly;
 // solvers treat it as a read-only operator, which makes concurrent SpMV
-// trivially safe.
+// trivially safe. Its norms are computed once and remembered.
 type CSR struct {
 	rows, cols int
 	rowPtr     []int
 	colIdx     []int
 	val        []float64
+
+	norms normMemo
+}
+
+// normMemo remembers a matrix's FrobeniusNorm and Norm2Est results. Both
+// are deterministic functions of the immutable entries, and every campaign
+// unit and job on a matrix asks for them again. A matrix derived from
+// another (Scale, ScaleRowsCols, Transpose) starts with an empty memo.
+type normMemo struct {
+	frobOnce sync.Once
+	frob     float64
+
+	mu  sync.Mutex // guards est; held while an estimate is computed
+	est map[norm2Args]float64
+}
+
+// norm2Args are the arguments of one Norm2Est call.
+type norm2Args struct {
+	maxIter int
+	tol     float64
 }
 
 // NewCSRFromTriplets is a convenience constructor.
@@ -264,7 +285,8 @@ func (m *CSR) Diagonal() []float64 {
 // an upper bound on ‖A‖₂ and therefore on every upper-Hessenberg entry the
 // Arnoldi process can legally produce; it is the default detector bound.
 func (m *CSR) FrobeniusNorm() float64 {
-	return vec.Norm2(m.val)
+	m.norms.frobOnce.Do(func() { m.norms.frob = vec.Norm2(m.val) })
+	return m.norms.frob
 }
 
 // Norm1 returns the maximum absolute column sum.
@@ -294,8 +316,24 @@ func (m *CSR) NormInf() float64 {
 // Norm2Est estimates ‖A‖₂ = σmax(A) by power iteration on AᵀA, which needs
 // only MatVec/MatTVec. It runs until the estimate changes by less than tol
 // relatively, or maxIter iterations. The deterministic seed vector makes the
-// estimate reproducible.
+// estimate reproducible, so m remembers it for the same arguments.
 func (m *CSR) Norm2Est(maxIter int, tol float64) float64 {
+	m.norms.mu.Lock()
+	defer m.norms.mu.Unlock()
+	args := norm2Args{maxIter, tol}
+	if est, ok := m.norms.est[args]; ok {
+		return est
+	}
+	est := m.norm2Est(maxIter, tol)
+	if m.norms.est == nil {
+		m.norms.est = make(map[norm2Args]float64)
+	}
+	m.norms.est[args] = est
+	return est
+}
+
+// norm2Est is Norm2Est without the memo.
+func (m *CSR) norm2Est(maxIter int, tol float64) float64 {
 	if m.rows == 0 || m.cols == 0 || m.NNZ() == 0 {
 		return 0
 	}

@@ -410,3 +410,30 @@ func BenchmarkSpMV(b *testing.B) {
 		m.MatVec(dst, x)
 	}
 }
+
+// TestNormsRememberedPerMatrix: a matrix answers repeated norm queries
+// with the bits it computed first, keeps estimates with different
+// arguments apart, and a matrix derived from it computes its own.
+func TestNormsRememberedPerMatrix(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	m := randomCSR(rng, 30, 30, 0.2)
+	fresh := func() *CSR { return NewCSRFromTriplets(m.Rows(), m.Cols(), m.Triplets()) }
+	same := func(what string, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s = %g, want %g", what, got, want)
+		}
+	}
+	same("FrobeniusNorm", m.FrobeniusNorm(), fresh().FrobeniusNorm())
+	same("repeated FrobeniusNorm", m.FrobeniusNorm(), fresh().FrobeniusNorm())
+	same("Norm2Est(300)", m.Norm2Est(300, 1e-8), fresh().Norm2Est(300, 1e-8))
+	same("Norm2Est(2)", m.Norm2Est(2, 1e-8), fresh().Norm2Est(2, 1e-8))
+	same("repeated Norm2Est(300)", m.Norm2Est(300, 1e-8), fresh().Norm2Est(300, 1e-8))
+	if m.Norm2Est(2, 1e-8) == m.Norm2Est(300, 1e-8) {
+		t.Fatal("estimates with different iteration caps were not kept apart")
+	}
+	s := m.Scale(3)
+	scaled := fresh().Scale(3)
+	same("scaled FrobeniusNorm", s.FrobeniusNorm(), NewCSRFromTriplets(30, 30, scaled.Triplets()).FrobeniusNorm())
+	same("scaled Norm2Est", s.Norm2Est(300, 1e-8), NewCSRFromTriplets(30, 30, scaled.Triplets()).Norm2Est(300, 1e-8))
+}

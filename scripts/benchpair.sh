@@ -1,0 +1,112 @@
+#!/usr/bin/env bash
+# Paired before/after runs of the end-to-end benchmark from one command.
+# Run from the repository root:
+#
+#   bash scripts/benchpair.sh <base-rev> [workloads] [pairs] [seconds]
+#
+# workloads is a comma-separated list (default: every workload in
+# BENCHMARK.json), pairs the number of pairs per workload (default 10),
+# seconds the window of each run (default BENCHMARK.json's run_seconds).
+#
+# The base revision is checked out in a temporary git worktree. Each pair
+# runs `bash bench/run.sh` once in that tree and once in the working tree,
+# with the same fresh seed on both sides, and alternates which side runs
+# first. Every run's result line is printed as it finishes; then, for each
+# workload and end-to-end metric, both sides' medians and quartiles and the
+# number of pairs the working tree won (ties count for neither). The script
+# exits nonzero if any run fails or reports "correct": false, and removes
+# the worktree on every exit.
+set -euo pipefail
+
+if [ $# -lt 1 ] || [ $# -gt 4 ]; then
+	echo "usage: $0 <base-rev> [workloads] [pairs] [seconds]" >&2
+	exit 2
+fi
+root=$(git rev-parse --show-toplevel)
+cd "$root"
+base=$(git rev-parse --verify "$1^{commit}")
+workloads=${2:-$(jq -r '[.workloads[].name] | join(",")' BENCHMARK.json)}
+pairs=${3:-10}
+seconds=${4:-$(jq -r '.run_seconds' BENCHMARK.json)}
+
+tmp=$(mktemp -d "${TMPDIR:-/tmp}/benchpair.XXXXXX")
+cleanup() {
+	git -C "$root" worktree remove --force "$tmp/base" 2>/dev/null || true
+	git -C "$root" worktree prune
+	rm -rf "$tmp"
+}
+trap cleanup EXIT
+git worktree add --quiet --detach "$tmp/base" "$base"
+
+results="$tmp/results.jsonl"
+ok=1
+# run <side> <dir> <workload> <pair> <seed>: one benchmark run, its result
+# line printed and kept.
+run() {
+	local out line
+	out="$tmp/run.out"
+	if ! (cd "$2" && bash bench/run.sh --workload "$3" --seed "$5" --seconds "$seconds" --trace 0) >"$out"; then
+		echo "$1 pair $4 $3 seed $5: bench/run.sh failed" >&2
+		ok=0
+		return
+	fi
+	line=$(tail -n 1 "$out")
+	echo "$1 pair $4 $3 seed $5: $line"
+	jq -c --arg side "$1" --arg wl "$3" --argjson pair "$4" '{side: $side, workload: $wl, pair: $pair, result: .}' \
+		<<<"$line" >>"$results"
+	if [ "$(jq -r '.correct' <<<"$line")" != true ]; then
+		ok=0
+	fi
+}
+
+echo "base $base, change: working tree of $(git rev-parse HEAD); $pairs pairs of ${seconds}s runs"
+IFS=, read -r -a wls <<<"$workloads"
+for wl in "${wls[@]}"; do
+	for ((i = 1; i <= pairs; i++)); do
+		seed=$(((RANDOM << 15 | RANDOM) + 1))
+		if ((i % 2)); then
+			run base "$tmp/base" "$wl" "$i" "$seed"
+			run change "$root" "$wl" "$i" "$seed"
+		else
+			run change "$root" "$wl" "$i" "$seed"
+			run base "$tmp/base" "$wl" "$i" "$seed"
+		fi
+	done
+done
+
+python3 - "$results" BENCHMARK.json <<'EOF'
+import json, statistics, sys
+
+runs = [json.loads(l) for l in open(sys.argv[1])]
+metrics = json.load(open(sys.argv[2]))["end_to_end"]
+
+def quartiles(xs):
+    if len(xs) == 1:
+        return xs[0], xs[0], xs[0]
+    return tuple(statistics.quantiles(xs, n=4, method="inclusive"))
+
+print(f"{'workload':<12} {'metric':<14} {'better':<6} {'base q1/median/q3':>26} {'change q1/median/q3':>26} {'change':>8} {'wins':>6} gap>IQR")
+for wl in dict.fromkeys(r["workload"] for r in runs):
+    by_pair = {}
+    for r in runs:
+        if r["workload"] == wl:
+            by_pair.setdefault(r["pair"], {})[r["side"]] = r["result"]["metrics"]
+    both = [p for p in by_pair.values() if len(p) == 2]
+    for m in metrics:
+        name, higher = m["name"], m["better"] == "higher"
+        base = [p["base"][name]["value"] for p in both]
+        change = [p["change"][name]["value"] for p in both]
+        if not both:
+            continue
+        wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
+        bq, cq = quartiles(base), quartiles(change)
+        rel = (cq[1] - bq[1]) / bq[1] if bq[1] else float("nan")
+        gap = abs(cq[1] - bq[1]) > bq[2] - bq[0]
+        fmt = lambda q: "%.4g/%.4g/%.4g" % q
+        print(f"{wl:<12} {name:<14} {m['better']:<6} {fmt(bq):>26} {fmt(cq):>26} {rel:>+8.1%} {wins:>3}/{len(both):<2} {'yes' if gap else 'no'}")
+EOF
+
+if [ "$ok" != 1 ]; then
+	echo "benchpair: a run failed or reported correct: false" >&2
+	exit 1
+fi
