@@ -28,13 +28,15 @@
 // -store-dir warehouse on startup. /metrics gains the solved_memo_*
 // series and /healthz a "memo" block. Without the flag nothing changes.
 //
-// With -qos-config set, the engine's flat FIFO becomes the internal/qos
-// multi-tenant scheduler: per-tenant token-bucket rate limits, weighted-fair
-// queuing, priority classes ("interactive" | "batch" | "background") with
-// starvation-proof aging, deadline-aware shedding, and per-tenant circuit
-// breakers. Tenants are named by the job spec's "tenant" field or the
-// X-Tenant request header; rejected submissions get 429 with Retry-After.
-// Without the flag the daemon's queueing behavior is unchanged.
+// The engine's admission queue is the internal/qos scheduler. With
+// -qos-config set it is multi-tenant: per-tenant token-bucket rate limits,
+// weighted-fair queuing, priority classes ("interactive" | "batch" |
+// "background") with starvation-proof aging, deadline-aware shedding, and
+// per-tenant circuit breakers. Tenants are named by the job spec's
+// "tenant" field or the X-Tenant request header; rejected submissions get
+// 429 with Retry-After. Without the flag it is one flat FIFO of -queue
+// jobs that ignores tenants, classes and deadlines, with the same 429 when
+// full.
 //
 // Submit a job:
 //
@@ -138,7 +140,7 @@ type cliConfig struct {
 	// Multi-tenant QoS (internal/qos).
 	qosConfig    string
 	maxCampaigns int
-	// qos is the parsed -qos-config document (nil = flat FIFO). Resolved
+	// qos is the parsed -qos-config document (nil = one flat FIFO). Resolved
 	// by loadQoS before setup; tests may set it directly.
 	qos *qos.Config
 
@@ -202,8 +204,8 @@ func (cfg *cliConfig) warmMemo(st *store.Store) {
 		"records", n, "dir", cfg.storeDir)
 }
 
-// loadQoS resolves -qos-config into cfg.qos. No flag, no scheduler: the
-// engine keeps its flat FIFO byte-for-byte.
+// loadQoS resolves -qos-config into cfg.qos. No flag, no config: the
+// engine's scheduler runs as one flat FIFO.
 func (cfg *cliConfig) loadQoS() error {
 	if cfg.qosConfig == "" {
 		return nil
@@ -238,7 +240,7 @@ func parseFlags(args []string) (cliConfig, error) {
 	fs.IntVar(&cfg.batch, "batch", 8, "units per distributed lease")
 	fs.StringVar(&cfg.distOut, "dist-out", "", "coordinator output directory (default -campaign-dir)")
 	fs.StringVar(&cfg.storeDir, "store-dir", "", "results warehouse directory; enables /v1/results/query and /v1/campaigns/{id}/stats (empty = store off)")
-	fs.StringVar(&cfg.qosConfig, "qos-config", "", "multi-tenant QoS config file (JSON): per-tenant rate limits, weighted-fair queuing, priority classes, deadline shedding, circuit breakers; empty keeps the single flat FIFO")
+	fs.StringVar(&cfg.qosConfig, "qos-config", "", "multi-tenant QoS config file (JSON): per-tenant rate limits, weighted-fair queuing, priority classes, deadline shedding, circuit breakers; empty runs the scheduler as one flat FIFO of -queue jobs that ignores tenant, class and deadline")
 	fs.IntVar(&cfg.maxCampaigns, "max-campaigns", 0, "concurrently active campaigns before POST /v1/campaigns answers 429 (0 = unlimited)")
 	fs.Int64Var(&cfg.memoBytes, "memo-bytes", 0, "content-addressed solve cache byte budget; repeated jobs and campaign units are answered from the cache with byte-identical records (0 = memoization off)")
 	fs.BoolVar(&cfg.memoWarm, "memo-warm", false, "preload the solve cache from the -store-dir warehouse on startup (requires -memo-bytes and -store-dir)")

@@ -5,11 +5,10 @@
 // aging, deadline-aware load shedding, and a per-tenant circuit breaker
 // that trips to probe-only admission after a run of sandbox failures.
 //
-// The design bar mirrors the repo's resilience machinery (and FT-GCR's
-// "resilience must cost nothing on the unfaulted path"): a service that
-// never constructs a Scheduler keeps today's single-FIFO semantics
-// byte-for-byte, and the scheduler itself takes an injectable clock so
-// every scheduling decision is testable without sleeping.
+// The Scheduler is the service's only admission queue. A service without
+// a QoS config runs it from Flat, where it is a bounded FIFO with the same
+// order, bound and drain; the scheduler takes an injectable clock so every
+// scheduling decision is testable without sleeping.
 //
 // The paper's Section IV host/guest split treats every job as an untrusted
 // guest of a reliable host; this package enforces the same boundary for
@@ -110,12 +109,11 @@ func (e *ShedError) Error() string {
 
 // RetryAfterSeconds renders the advice as whole seconds for the
 // Retry-After header: ceiling, minimum 1.
-func (e *ShedError) RetryAfterSeconds() int {
-	s := int(math.Ceil(e.RetryAfter.Seconds()))
-	if s < 1 {
-		s = 1
-	}
-	return s
+func (e *ShedError) RetryAfterSeconds() int { return ceilSeconds(e.RetryAfter) }
+
+// ceilSeconds renders a wait as whole seconds: ceiling, minimum 1.
+func ceilSeconds(d time.Duration) int {
+	return max(int(math.Ceil(d.Seconds())), 1)
 }
 
 // Duration is a time.Duration that unmarshals from JSON as either a Go
@@ -217,6 +215,15 @@ type Config struct {
 	// BreakerCooldown is how long a tripped breaker stays open before one
 	// probe job is admitted (default 10s).
 	BreakerCooldown Duration `json:"breaker_cooldown,omitempty"`
+}
+
+// Flat is the config that makes a Scheduler a bounded FIFO of depth jobs:
+// no rate limit, no aging and no breaker. A host pushing every job under
+// DefaultTenant in the Batch band with no deadline gets one tenant of
+// weight 1, whose virtual finish times rise in push order, so admission,
+// the bound and pop order are a FIFO's.
+func Flat(depth int) Config {
+	return Config{QueueDepth: depth, AgingStep: -1, BreakerThreshold: -1}
 }
 
 // withDefaults resolves the scheduler-wide defaults.

@@ -30,9 +30,6 @@ type Options[T any] struct {
 	// without it ever occupying a worker. Admission-time rejections do
 	// not reach OnShed; they surface as *ShedError from Push.
 	OnShed func(tenant string, v T)
-	// Recorder receives qos-admit / qos-shed flight-recorder events
-	// (nil = tracing off, one pointer check per event).
-	Recorder *trace.Recorder
 	// TraceOf extracts a queued value's own flight recorder so Push can
 	// record the qos-admit event under the scheduler lock — before any
 	// worker can pop the job — with the accurate post-admit depth. A nil
@@ -67,13 +64,12 @@ type band struct {
 	vtime float64
 }
 
-// Scheduler is the multi-tenant replacement for the engine's flat FIFO:
-// Push is non-blocking admission (rate limits, queue bounds, deadline
-// estimates, circuit breakers), Pop blocks until a job is runnable and
-// picks it by priority band (with aging) and weighted fairness within
-// the band. A nil *Scheduler is not used as a disabled scheduler — the
-// host keeps its plain FIFO when QoS is unconfigured — so every method
-// here assumes a receiver built by New.
+// Scheduler is the service engine's admission queue: Push is non-blocking
+// admission (rate limits, queue bounds, deadline estimates, circuit
+// breakers), Pop blocks until a job is runnable and picks it by priority
+// band (with aging) and weighted fairness within the band. Built from
+// Flat, it is a bounded FIFO. Every method assumes a receiver built by
+// New.
 type Scheduler[T any] struct {
 	cfg Config
 	opt Options[T]
@@ -234,7 +230,6 @@ func (s *Scheduler[T]) Push(tenant string, class Class, deadline time.Duration, 
 	shed := func(reason Reason, retry time.Duration) error {
 		s.mu.Unlock()
 		s.met.Shed(tenant, reason)
-		s.opt.Recorder.QoSShed(tenant, string(reason), 0, retry.Seconds())
 		return &ShedError{Tenant: tenant, Reason: reason, RetryAfter: retry}
 	}
 	if ok, retry := ts.brk.admit(now); !ok {
@@ -283,7 +278,6 @@ func (s *Scheduler[T]) Push(tenant string, class Class, deadline time.Duration, 
 	s.mu.Unlock()
 
 	s.met.Admitted(tenant)
-	s.opt.Recorder.QoSAdmit(tenant, class.String(), depth)
 	return nil
 }
 
@@ -367,7 +361,6 @@ func ts0pop[T any](q *[]item[T]) item[T] {
 func (s *Scheduler[T]) fire(sheds []shedNotice[T]) {
 	for _, n := range sheds {
 		s.met.Shed(n.tenant, ReasonExpired)
-		s.opt.Recorder.QoSShed(n.tenant, string(ReasonExpired), float64(n.waited.Milliseconds()), 0)
 		if s.opt.OnShed != nil {
 			s.opt.OnShed(n.tenant, n.v)
 		}
@@ -377,7 +370,8 @@ func (s *Scheduler[T]) fire(sheds []shedNotice[T]) {
 // Pop blocks until a runnable job is available and returns it, skipping —
 // and reporting via OnShed — any job whose deadline expired while it
 // waited. The second result is false when the scheduler is closed and
-// fully drained, the workers' exit signal (same contract as FIFO.Pop).
+// fully drained: Close, then Pop until it reports false, is the graceful
+// drain.
 func (s *Scheduler[T]) Pop() (T, bool) {
 	var zero T
 	s.mu.Lock()
@@ -444,6 +438,15 @@ func (s *Scheduler[T]) ReleaseProbe(tenant string) {
 	s.mu.Unlock()
 }
 
+// RetryAfterSeconds is the backoff advice for a caller turned away now:
+// the estimated wait in whole seconds (estWaitLocked), ceiling, minimum 1.
+func (s *Scheduler[T]) RetryAfterSeconds() int {
+	s.mu.Lock()
+	wait := s.estWaitLocked()
+	s.mu.Unlock()
+	return ceilSeconds(wait)
+}
+
 // Len returns the number of queued jobs across all tenants.
 func (s *Scheduler[T]) Len() int {
 	s.mu.Lock()
@@ -495,8 +498,7 @@ func (s *Scheduler[T]) State() []TenantState {
 func (s *Scheduler[T]) WritePrometheus(w io.Writer) { s.met.reg.WritePrometheus(w) }
 
 // Close stops admission and wakes every blocked Pop. Already-queued jobs
-// remain poppable: closing drains, it does not discard (the FIFO
-// contract).
+// remain poppable: closing drains, it does not discard.
 func (s *Scheduler[T]) Close() {
 	s.mu.Lock()
 	s.closed = true

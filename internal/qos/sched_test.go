@@ -217,6 +217,28 @@ func TestPerTenantQueueBound(t *testing.T) {
 	mustPush(t, s, "b", Batch, 0, 4)
 }
 
+// TestRetryAfterSecondsEstimate: the scheduler's backoff advice is queued
+// jobs × mean service time ÷ workers in whole seconds, ceiling, minimum 1,
+// and a queue-full rejection carries the same advice.
+func TestRetryAfterSecondsEstimate(t *testing.T) {
+	s := mustScheduler(t, Flat(4), Options[int]{Workers: 2, ServiceTime: func() time.Duration { return 3 * time.Second }})
+	if got := s.RetryAfterSeconds(); got != 1 {
+		t.Fatalf("empty queue: RetryAfterSeconds = %d, want 1", got)
+	}
+	for i := 0; i < 3; i++ {
+		mustPush(t, s, DefaultTenant, Batch, 0, i)
+	}
+	// 3 queued × 3s ÷ 2 workers = 4.5s.
+	if got := s.RetryAfterSeconds(); got != 5 {
+		t.Fatalf("3 queued: RetryAfterSeconds = %d, want 5", got)
+	}
+	mustPush(t, s, DefaultTenant, Batch, 0, 3)
+	se := shedReason(t, s.Push(DefaultTenant, Batch, 0, 4))
+	if se.Reason != ReasonQueueFull || se.RetryAfterSeconds() != 6 || s.RetryAfterSeconds() != 6 {
+		t.Fatalf("full queue: %v, scheduler advice %ds, want queue-full and 6s from both", se, s.RetryAfterSeconds())
+	}
+}
+
 func TestDeadlineShedAtAdmission(t *testing.T) {
 	clk := newFakeClock()
 	s := mustScheduler(t, Config{QueueDepth: 100}, Options[int]{

@@ -1,13 +1,14 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,7 +29,7 @@ var (
 	ErrUnknownJob = errors.New("service: unknown job")
 	// ErrNotCancelable: the job already reached a terminal state.
 	ErrNotCancelable = errors.New("service: job already terminal")
-	// ErrNoTrace: tracing is disabled, or the job has no recorder yet.
+	// ErrNoTrace: tracing is disabled, so the job has no recorder.
 	ErrNoTrace = errors.New("service: no trace for job")
 )
 
@@ -48,7 +49,8 @@ type Runner func(ctx context.Context, spec *JobSpec, rec *trace.Recorder, pool *
 type Config struct {
 	// Workers is the worker pool size (default GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the admission queue (default 64).
+	// QueueDepth bounds the admission queue (default 64). Without a QoS
+	// config it is the bound of qos.Flat, the engine's flat FIFO.
 	QueueDepth int
 	// DefaultBudget is the per-job wall-clock budget when the spec names
 	// none (default 30s).
@@ -78,13 +80,14 @@ type Config struct {
 	// bitwise deterministic: solve records are identical for every
 	// KernelWorkers value.
 	KernelWorkers int
-	// QoS, when non-nil, replaces the flat FIFO at the engine's
-	// backpressure point with the internal/qos multi-tenant scheduler:
-	// per-tenant rate limits, weighted-fair queuing, priority classes with
-	// aging, deadline shedding, and circuit breakers. Nil preserves
-	// today's single-queue FIFO semantics exactly. The config must be
-	// valid (qos.ParseConfig and qos.LoadConfig validate); NewEngine
-	// panics on one that is not.
+	// QoS, when non-nil, configures the engine's admission queue, a
+	// qos.Scheduler, as a multi-tenant scheduler: per-tenant rate limits,
+	// weighted-fair queuing, priority classes with aging, deadline
+	// shedding, and circuit breakers. Nil runs the scheduler from
+	// qos.Flat(QueueDepth) with every job under the default tenant, a flat
+	// FIFO that ignores the spec's tenant, class and deadline. The config
+	// must be valid (qos.ParseConfig and qos.LoadConfig validate);
+	// NewEngine panics on one that is not.
 	QoS *qos.Config
 	// QoSClock injects the scheduler's clock (nil = time.Now). Tests use
 	// a deterministic clock so scheduling assertions never sleep.
@@ -132,11 +135,9 @@ func (c Config) withDefaults() Config {
 // reliable host of the paper's Section IV contract, with every job as an
 // unreliable guest.
 type Engine struct {
-	cfg   Config
-	queue *FIFO[*Job]
-	// sched is the QoS scheduler when Config.QoS is set; nil otherwise.
-	// Exactly one of the two queue paths is in use for the engine's whole
-	// lifetime.
+	cfg Config
+	// sched is the engine's only admission queue, built from Config.QoS
+	// or, without one, from qos.Flat(QueueDepth).
 	sched   *qos.Scheduler[*Job]
 	wg      sync.WaitGroup
 	started atomic.Bool
@@ -168,7 +169,6 @@ func NewEngine(cfg Config) *Engine {
 	ctx, cancel := context.WithCancel(context.Background())
 	e := &Engine{
 		cfg:        cfg,
-		queue:      NewFIFO[*Job](cfg.QueueDepth),
 		baseCtx:    ctx,
 		hardCancel: cancel,
 		jobs:       make(map[string]*Job),
@@ -177,23 +177,21 @@ func NewEngine(cfg Config) *Engine {
 		e.ops = newOpCache(maxOperatorBytes, cfg.Metrics)
 		e.cfg.Runner = e.runCached
 	}
+	qcfg := qos.Flat(cfg.QueueDepth)
 	if cfg.QoS != nil {
-		sched, err := qos.New[*Job](*cfg.QoS, qos.Options[*Job]{
-			Now:         cfg.QoSClock,
-			Workers:     cfg.Workers,
-			ServiceTime: cfg.Metrics.MeanServiceTime,
-			OnShed:      e.shedExpired,
-			TraceOf: func(j *Job) *trace.Recorder {
-				j.mu.Lock()
-				defer j.mu.Unlock()
-				return j.trace
-			},
-		})
-		if err != nil {
-			panic(fmt.Sprintf("service: invalid QoS config: %v", err))
-		}
-		e.sched = sched
+		qcfg = *cfg.QoS
 	}
+	sched, err := qos.New[*Job](qcfg, qos.Options[*Job]{
+		Now:         cfg.QoSClock,
+		Workers:     cfg.Workers,
+		ServiceTime: cfg.Metrics.MeanServiceTime,
+		OnShed:      e.shedExpired,
+		TraceOf:     func(j *Job) *trace.Recorder { return j.trace },
+	})
+	if err != nil {
+		panic(fmt.Sprintf("service: invalid QoS config: %v", err))
+	}
+	e.sched = sched
 	return e
 }
 
@@ -204,45 +202,33 @@ func (e *Engine) Metrics() *Metrics { return e.cfg.Metrics }
 func (e *Engine) Workers() int { return e.cfg.Workers }
 
 // QueueLen returns the number of jobs waiting for a worker.
-func (e *Engine) QueueLen() int {
-	if e.sched != nil {
-		return e.sched.Len()
-	}
-	return e.queue.Len()
-}
+func (e *Engine) QueueLen() int { return e.sched.Len() }
 
-// QoSEnabled reports whether the engine runs the multi-tenant QoS
-// scheduler instead of the flat FIFO.
-func (e *Engine) QoSEnabled() bool { return e.sched != nil }
+// QoSEnabled reports whether the engine runs with a QoS config, as a
+// multi-tenant scheduler rather than a flat FIFO.
+func (e *Engine) QoSEnabled() bool { return e.cfg.QoS != nil }
 
 // QoSState snapshots the scheduler's per-tenant state for /healthz.
-// Nil when the engine runs without QoS.
+// Nil when the engine runs without a QoS config.
 func (e *Engine) QoSState() []qos.TenantState {
-	if e.sched == nil {
+	if !e.QoSEnabled() {
 		return nil
 	}
 	return e.sched.State()
 }
 
 // WriteQoSMetrics appends the per-tenant solved_qos_* series to a
-// /metrics response. No-op without a QoS scheduler.
+// /metrics response. No-op without a QoS config.
 func (e *Engine) WriteQoSMetrics(w io.Writer) {
-	if e.sched != nil {
+	if e.QoSEnabled() {
 		e.sched.WritePrometheus(w)
 	}
 }
 
 // RetryAfter estimates how many whole seconds a rejected submitter should
-// wait before retrying: live queue depth × the mean observed service time
-// ÷ worker count, ceiling, minimum 1.
-func (e *Engine) RetryAfter() int {
-	wait := float64(e.QueueLen()) * e.cfg.Metrics.MeanServiceTime().Seconds() / float64(e.cfg.Workers)
-	s := int(math.Ceil(wait))
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
+// wait before retrying: the scheduler's estimate of live queue depth × the
+// mean observed service time ÷ worker count, ceiling, minimum 1.
+func (e *Engine) RetryAfter() int { return e.sched.RetryAfterSeconds() }
 
 // Draining reports whether shutdown has begun.
 func (e *Engine) Draining() bool { return e.drain.Load() }
@@ -289,10 +275,9 @@ func (e *Engine) Submit(spec JobSpec) (JobView, error) {
 
 // SubmitCtx validates and enqueues a job, adopting the correlation ID
 // carried by ctx (minting one when absent) so the job's logs and trace
-// join the submitting request. It returns ErrDraining during shutdown,
-// ErrQueueFull when the FIFO rejects the job, a *qos.ShedError when the
-// QoS scheduler rejects it (carrying the reason and retry advice), or
-// the spec's validation error.
+// join the submitting request. It returns ErrDraining during shutdown, a
+// *qos.ShedError when admission rejects the job (carrying the reason and
+// retry advice), or the spec's validation error.
 func (e *Engine) SubmitCtx(ctx context.Context, spec JobSpec) (JobView, error) {
 	if e.drain.Load() {
 		return JobView{}, ErrDraining
@@ -304,39 +289,52 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec JobSpec) (JobView, error) {
 	if cid == "" {
 		cid = obs.NewID()
 	}
-	// Cache lookup precedes every admission decision: a memoized solve
-	// is served without touching the FIFO or the QoS scheduler.
-	var memoKey string
-	if e.cfg.Memo != nil {
-		memoKey = memo.JobKey(SpecDigest(&spec))
-		if raw, ok := e.cfg.Memo.Get(memoKey); ok {
-			if view, done := e.completeFromMemo(spec, cid, memoKey, raw); done {
-				return view, nil
-			}
-		}
-	}
+	seq := e.nextID.Add(1)
 	j := &Job{
-		id:        fmt.Sprintf("job-%06d", e.nextID.Add(1)),
+		seq:       seq,
+		id:        fmt.Sprintf("job-%06d", seq),
 		spec:      spec,
 		cid:       cid,
-		memoKey:   memoKey,
+		tenant:    qos.DefaultTenant,
 		state:     StateQueued,
 		submitted: time.Now(),
+	}
+	// Without a QoS config every job queues as the default tenant in the
+	// batch band with no deadline, which makes the scheduler a flat FIFO.
+	class, deadline := qos.Batch, time.Duration(0)
+	if e.QoSEnabled() {
+		if spec.Tenant != "" {
+			j.tenant = spec.Tenant
+		}
+		class, deadline = spec.QoSClass(), spec.Deadline()
+	}
+	if e.cfg.TraceCapacity > 0 {
+		j.trace = trace.NewRecorder(e.cfg.TraceCapacity)
+		j.trace.Correlate(cid)
+	}
+	// Cache lookup precedes every admission decision: a memoized solve
+	// is served without touching the scheduler.
+	if e.cfg.Memo != nil {
+		j.memoKey = memo.JobKey(SpecDigest(&spec))
+		if raw, ok := e.cfg.Memo.Get(j.memoKey); ok && e.completeFromMemo(j, raw) {
+			return j.View(), nil
+		}
 	}
 	e.mu.Lock()
 	e.jobs[j.id] = j
 	e.mu.Unlock()
-	// Once enqueued, a worker may start or even finish the job; the
-	// caller is told what it submitted, a queued job.
+	// Once pushed, a worker may start or even finish the job; the caller
+	// is told what it submitted, a queued job. The scheduler records the
+	// qos-admit event under its lock, before any worker can pop the job.
 	view := j.View()
-	if err := e.enqueue(j); err != nil {
+	if err := e.sched.Push(j.tenant, class, deadline, j); err != nil {
 		e.mu.Lock()
 		delete(e.jobs, j.id)
 		e.mu.Unlock()
 		if l := e.cfg.Log; l != nil {
 			l.Warn(e.jobCtx(j), "job rejected", "reason", err.Error())
 		}
-		if errors.Is(err, ErrQueueClosed) || errors.Is(err, qos.ErrClosed) {
+		if errors.Is(err, qos.ErrClosed) {
 			return JobView{}, ErrDraining
 		}
 		e.cfg.Metrics.JobsRejected.Inc()
@@ -355,37 +353,6 @@ func (e *Engine) jobCtx(j *Job) context.Context {
 	return obs.With(context.Background(), obs.Correlation{ID: j.cid, Job: j.id, Tenant: j.spec.Tenant})
 }
 
-// enqueue hands a job to whichever queue path the engine runs.
-func (e *Engine) enqueue(j *Job) error {
-	if e.sched == nil {
-		return e.queue.Push(j)
-	}
-	// The QoS path gives the job its flight recorder at admission, so the
-	// qos-admit/qos-shed events land on its own trace. The FIFO path keeps
-	// creating it at run start, unchanged.
-	var tr *trace.Recorder
-	if e.cfg.TraceCapacity > 0 {
-		tr = trace.NewRecorder(e.cfg.TraceCapacity)
-		tr.Correlate(j.cid)
-		j.mu.Lock()
-		j.trace = tr
-		j.mu.Unlock()
-	}
-	// The scheduler records the qos-admit event itself (via the TraceOf
-	// hook, under its lock) so it lands on the trace before any worker
-	// can pop the job and record run events.
-	spec := &j.spec
-	return e.sched.Push(spec.Tenant, spec.QoSClass(), spec.Deadline(), j)
-}
-
-// qosTenant is the spec's tenant as the scheduler accounts it.
-func qosTenant(spec *JobSpec) string {
-	if spec.Tenant == "" {
-		return qos.DefaultTenant
-	}
-	return spec.Tenant
-}
-
 // shedExpired is the scheduler's OnShed callback: the job's deadline
 // expired while it was queued, and it will never reach a worker.
 func (e *Engine) shedExpired(tenant string, j *Job) {
@@ -402,9 +369,8 @@ func (e *Engine) shedExpired(tenant string, j *Job) {
 	j.err = "deadline expired while queued"
 	j.finished = time.Now()
 	waited := j.finished.Sub(j.submitted)
-	tr := j.trace
 	j.mu.Unlock()
-	tr.QoSShed(tenant, string(qos.ReasonExpired), float64(waited.Milliseconds()), 0)
+	j.trace.QoSShed(tenant, string(qos.ReasonExpired), float64(waited.Milliseconds()), 0)
 	e.cfg.Metrics.JobsShed.Inc()
 	if l := e.cfg.Log; l != nil {
 		l.Warn(e.jobCtx(j), "job shed", "reason", "deadline expired while queued",
@@ -425,8 +391,9 @@ func (e *Engine) Job(id string) (JobView, bool) {
 }
 
 // JobTrace returns the recorded flight-recorder events of a job,
-// oldest-first. It returns ErrUnknownJob for unknown (or evicted) IDs and
-// ErrNoTrace when tracing is disabled or the job has not started yet.
+// oldest-first; a job has its recorder from submission, so a queued job's
+// trace holds its qos-admit event. It returns ErrUnknownJob for unknown
+// (or evicted) IDs and ErrNoTrace when tracing is disabled.
 func (e *Engine) JobTrace(id string) ([]trace.Event, error) {
 	e.mu.Lock()
 	j, ok := e.jobs[id]
@@ -434,13 +401,10 @@ func (e *Engine) JobTrace(id string) ([]trace.Event, error) {
 	if !ok {
 		return nil, ErrUnknownJob
 	}
-	j.mu.Lock()
-	tr := j.trace
-	j.mu.Unlock()
-	if tr == nil {
+	if j.trace == nil {
 		return nil, ErrNoTrace
 	}
-	return tr.Events(), nil
+	return j.trace.Events(), nil
 }
 
 // Jobs snapshots every tracked job in submission order.
@@ -451,15 +415,10 @@ func (e *Engine) Jobs() []JobView {
 		all = append(all, j)
 	}
 	e.mu.Unlock()
+	slices.SortFunc(all, func(a, b *Job) int { return cmp.Compare(a.seq, b.seq) })
 	views := make([]JobView, len(all))
 	for i, j := range all {
 		views[i] = j.View()
-	}
-	// Submission order == ID order by construction.
-	for i := 1; i < len(views); i++ {
-		for k := i; k > 0 && views[k].ID < views[k-1].ID; k-- {
-			views[k], views[k-1] = views[k-1], views[k]
-		}
 	}
 	return views
 }
@@ -500,10 +459,7 @@ func (e *Engine) Cancel(id string) (JobView, error) {
 // that, then returns ctx's error.
 func (e *Engine) Shutdown(ctx context.Context) error {
 	e.drain.Store(true)
-	e.queue.Close()
-	if e.sched != nil {
-		e.sched.Close()
-	}
+	e.sched.Close()
 	drained := make(chan struct{})
 	go func() {
 		e.wg.Wait()
@@ -528,13 +484,7 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 func (e *Engine) worker(pool *kernel.Pool) {
 	defer e.wg.Done()
 	for {
-		var j *Job
-		var ok bool
-		if e.sched != nil {
-			j, ok = e.sched.Pop()
-		} else {
-			j, ok = e.queue.Pop()
-		}
+		j, ok := e.sched.Pop()
 		if !ok {
 			return
 		}
@@ -561,11 +511,9 @@ func (e *Engine) run(j *Job, pool *kernel.Pool) {
 	j.mu.Lock()
 	if j.state.Terminal() { // canceled while queued; already retired
 		j.mu.Unlock()
-		if e.sched != nil {
-			// The admitted job dies without running, so it will never
-			// report an outcome; free the probe slot it may hold.
-			e.sched.ReleaseProbe(qosTenant(&j.spec))
-		}
+		// The admitted job dies without running, so it will never report
+		// an outcome; free the probe slot it may hold.
+		e.sched.ReleaseProbe(j.tenant)
 		return
 	}
 	ctx, cancel := context.WithTimeout(e.baseCtx, e.budget(&j.spec))
@@ -575,17 +523,6 @@ func (e *Engine) run(j *Job, pool *kernel.Pool) {
 	j.mu.Unlock()
 	defer cancel()
 
-	var tr *trace.Recorder
-	if e.cfg.TraceCapacity > 0 {
-		j.mu.Lock()
-		tr = j.trace // the QoS path created it at admission
-		if tr == nil {
-			tr = trace.NewRecorder(e.cfg.TraceCapacity)
-			tr.Correlate(j.cid)
-			j.trace = tr
-		}
-		j.mu.Unlock()
-	}
 	if l := e.cfg.Log; l != nil {
 		l.Debug(e.jobCtx(j), "job started", "solver", j.spec.SolverKind())
 	}
@@ -596,7 +533,7 @@ func (e *Engine) run(j *Job, pool *kernel.Pool) {
 	exec := func() ([]byte, error) {
 		executed = true
 		rep = sandbox.RunCtx(ctx, 0, func() error {
-			r, err := e.cfg.Runner(ctx, &j.spec, tr, pool)
+			r, err := e.cfg.Runner(ctx, &j.spec, j.trace, pool)
 			if err != nil {
 				return err
 			}
@@ -627,7 +564,7 @@ func (e *Engine) run(j *Job, pool *kernel.Pool) {
 				rec = cached
 				rep = sandbox.Report{Outcome: sandbox.OK}
 				fromMemo = true
-				tr.MemoHit(j.memoKey, memoHow(how), len(raw))
+				j.trace.MemoHit(j.memoKey, memoHow(how), len(raw))
 			} else {
 				// Undecodable payload (defensive): run fresh.
 				exec()
@@ -687,13 +624,11 @@ func (e *Engine) run(j *Job, pool *kernel.Pool) {
 	default:
 		m.JobsFailed.Inc()
 	}
-	if e.sched != nil {
-		// Feed the tenant's circuit breaker: a panic or a blown wall-clock
-		// budget is the guest misbehaving; everything else (including a
-		// plain error or a caller cancel) is not.
-		good := rep.Outcome != sandbox.Panicked && rep.Outcome != sandbox.TimedOut
-		e.sched.ReportOutcome(j.spec.Tenant, good)
-	}
+	// Feed the tenant's circuit breaker: a panic or a blown wall-clock
+	// budget is the guest misbehaving; everything else (including a plain
+	// error or a caller cancel) is not.
+	good := rep.Outcome != sandbox.Panicked && rep.Outcome != sandbox.TimedOut
+	e.sched.ReportOutcome(j.tenant, good)
 	if l := e.cfg.Log; l != nil {
 		lctx := e.jobCtx(j)
 		if state == StateDone {

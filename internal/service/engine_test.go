@@ -2,11 +2,14 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
 	"sdcgmres/internal/kernel"
+	"sdcgmres/internal/memo"
 	"sdcgmres/internal/trace"
 )
 
@@ -235,5 +238,63 @@ func TestEngineRetentionEvicts(t *testing.T) {
 	}
 	if len(e.Jobs()) != 3 {
 		t.Fatalf("retained %d jobs, want 3", len(e.Jobs()))
+	}
+}
+
+// TestEngineJobsSubmissionOrderPastSixDigits: Jobs lists in submission
+// order even once IDs outgrow their six-digit padding, where string order
+// would put "job-1000000" before "job-999999".
+func TestEngineJobsSubmissionOrderPastSixDigits(t *testing.T) {
+	e := NewEngine(Config{Workers: 1, Runner: stubRunner(-1, 0)})
+	e.nextID.Store(999_998)
+	for i := 0; i < 3; i++ {
+		if _, err := e.Submit(PoissonJob(8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []string
+	for _, v := range e.Jobs() {
+		got = append(got, v.ID)
+	}
+	if want := []string{"job-999999", "job-1000000", "job-1000001"}; !slices.Equal(got, want) {
+		t.Fatalf("Jobs order %v, want %v", got, want)
+	}
+}
+
+// TestEngineRecorderFromSubmission: a job gets its flight recorder when it
+// is submitted, before it is published. A memo hit's trace holds its
+// memo-hit event, and a job still queued already holds its qos-admit.
+func TestEngineRecorderFromSubmission(t *testing.T) {
+	cache := memo.New(memo.Config{})
+	e := NewEngine(Config{Workers: 1, Runner: stubRunner(-1, 0), Memo: cache, TraceCapacity: 64})
+	// Never started, so the second job stays queued.
+	spec := smallSpec()
+	raw, err := json.Marshal(&SolveRecord{Problem: "stub", Solver: spec.SolverKind(), Converged: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache.Put(memo.JobKey(SpecDigest(&spec)), raw)
+	hit, err := e.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.FromMemo || hit.State != StateDone {
+		t.Fatalf("memo hit view = %+v", hit)
+	}
+	queued, err := e.Submit(PoissonJob(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if queued.State != StateQueued {
+		t.Fatalf("queued view = %+v", queued)
+	}
+	for id, want := range map[string]trace.Kind{hit.ID: trace.KindMemoHit, queued.ID: trace.KindQoSAdmit} {
+		events, err := e.JobTrace(id)
+		if err != nil {
+			t.Fatalf("%s: JobTrace: %v", id, err)
+		}
+		if len(events) != 2 || events[0].Kind != trace.KindCorrelation || events[1].Kind != want {
+			t.Fatalf("%s: trace %+v, want correlation then %s", id, events, want)
+		}
 	}
 }

@@ -45,16 +45,25 @@ func (s State) Terminal() bool {
 // Job is one tracked unit of work inside the engine. All mutable fields are
 // guarded by mu; external observers read consistent snapshots via View.
 type Job struct {
+	// seq is the job's submission sequence number, the N of its
+	// "job-%06d" ID; Jobs lists in seq order.
+	seq  int64
 	id   string
 	spec JobSpec
 	// cid is the observability correlation ID minted (or adopted from the
 	// request) at submission; it joins this job's log records, trace
 	// events and API view. Immutable after construction.
 	cid string
-	// memoKey is the job's content-addressed cache key ("" when the
-	// engine runs without a memo cache). Set before the job is
-	// published, immutable afterwards.
+	// tenant is the scheduler tenant the job is queued and accounted
+	// under: the spec's tenant (or the default) with a QoS config, and
+	// always qos.DefaultTenant without one. Immutable after construction.
+	tenant string
+	// The fields below are set before the job is published, immutable
+	// afterwards. memoKey is the job's content-addressed cache key (""
+	// when the engine runs without a memo cache); trace is its flight
+	// recorder (nil when the engine runs without a TraceCapacity).
 	memoKey string
+	trace   *trace.Recorder
 
 	mu    sync.Mutex
 	state State
@@ -69,9 +78,6 @@ type Job struct {
 	// cancel aborts the running solve's context; non-nil only while
 	// running.
 	cancel context.CancelFunc
-	// trace is the job's flight recorder; non-nil only when the engine
-	// runs with a TraceCapacity, set when the job starts.
-	trace *trace.Recorder
 }
 
 // ID returns the job's identifier.

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"sdcgmres/internal/memo"
-	"sdcgmres/internal/trace"
 )
 
 // SpecDigest returns the canonical content digest of the solve a job
@@ -77,34 +76,22 @@ func (e *Engine) MemoStats() memo.Stats { return e.cfg.Memo.Stats() }
 func (e *Engine) WriteMemoMetrics(w io.Writer) { e.cfg.Memo.WritePrometheus(w) }
 
 // completeFromMemo turns a submission-time cache hit into a terminal
-// job: the cached SolveRecord is decoded and the job is born StateDone,
-// never entering a queue — so a hit spends no QoS token-bucket token
-// and no worker, the property the admission-before-cache ordering
-// exists to guarantee. Returns ok=false on an undecodable payload, in
-// which case the caller falls through to a fresh execution.
-func (e *Engine) completeFromMemo(spec JobSpec, cid, key string, raw []byte) (JobView, bool) {
+// job: the cached SolveRecord is decoded and the unpublished job j is
+// published StateDone, never entering the queue — so a hit spends no QoS
+// token-bucket token and no worker, the property the
+// admission-before-cache ordering exists to guarantee. Returns false on
+// an undecodable payload, in which case the caller queues j for a fresh
+// execution.
+func (e *Engine) completeFromMemo(j *Job, raw []byte) bool {
 	rec := new(SolveRecord)
 	if err := json.Unmarshal(raw, rec); err != nil {
-		return JobView{}, false
+		return false
 	}
-	now := time.Now()
-	j := &Job{
-		id:        fmt.Sprintf("job-%06d", e.nextID.Add(1)),
-		spec:      spec,
-		cid:       cid,
-		memoKey:   key,
-		state:     StateDone,
-		result:    rec,
-		fromMemo:  true,
-		submitted: now,
-		finished:  now,
-	}
-	if e.cfg.TraceCapacity > 0 {
-		tr := trace.NewRecorder(e.cfg.TraceCapacity)
-		tr.Correlate(cid)
-		tr.MemoHit(key, "hit", len(raw))
-		j.trace = tr
-	}
+	j.state = StateDone
+	j.result = rec
+	j.fromMemo = true
+	j.finished = time.Now()
+	j.trace.MemoHit(j.memoKey, "hit", len(raw))
 	e.mu.Lock()
 	e.jobs[j.id] = j
 	e.mu.Unlock()
@@ -115,10 +102,10 @@ func (e *Engine) completeFromMemo(spec JobSpec, cid, key string, raw []byte) (Jo
 	e.cfg.Metrics.JobsAccepted.Inc()
 	e.cfg.Metrics.JobsCompleted.Inc()
 	if l := e.cfg.Log; l != nil {
-		l.Info(e.jobCtx(j), "job served from memo cache", "key", key, "bytes", len(raw))
+		l.Info(e.jobCtx(j), "job served from memo cache", "key", j.memoKey, "bytes", len(raw))
 	}
 	e.retire(j)
-	return j.View(), true
+	return true
 }
 
 // memoHow renders a memo outcome for trace events and job views.

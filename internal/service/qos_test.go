@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -69,7 +70,7 @@ func (o *orderRunner) run(ctx context.Context, spec *JobSpec, _ *trace.Recorder,
 		return &SolveRecord{Problem: "gate", Solver: spec.SolverKind(), Converged: true}, nil
 	}
 	o.mu.Lock()
-	o.order = append(o.order, qosTenant(spec))
+	o.order = append(o.order, spec.Tenant)
 	o.mu.Unlock()
 	return &SolveRecord{Problem: "stub", Solver: spec.SolverKind(), Converged: true}, nil
 }
@@ -498,6 +499,86 @@ func TestEngineNoQoSIgnoresTenantFields(t *testing.T) {
 	if e.QoSState() != nil {
 		t.Fatal("QoSState without config should be nil")
 	}
+}
+
+// TestEngineFlatAdmitEventFirstInTrace is the unconfigured twin of
+// TestEngineQoSAdmitEventFirstInTrace: without a QoS config the engine
+// queues on the same scheduler, so a job's trace starts with its qos-admit
+// event too, under the default tenant whatever the spec names.
+func TestEngineFlatAdmitEventFirstInTrace(t *testing.T) {
+	e := NewEngine(Config{
+		Workers:       1,
+		Runner:        stubRunner(-1, 0),
+		TraceCapacity: 64,
+	})
+	e.Start()
+	defer e.Shutdown(context.Background())
+
+	v, err := e.Submit(tenantJob("alpha"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, e, v.ID, 5*time.Second)
+	events, err := e.JobTrace(v.ID)
+	if err != nil {
+		t.Fatalf("JobTrace: %v", err)
+	}
+	if len(events) == 0 || events[0].Kind.String() != "correlation" {
+		t.Fatalf("first trace event = %+v, want correlation", events)
+	}
+	if len(events) < 2 || events[1].Kind.String() != "qos-admit" || events[1].Label != qos.DefaultTenant {
+		t.Fatalf("first scheduling event = %+v, want qos-admit for %q", events, qos.DefaultTenant)
+	}
+	admits := 0
+	for _, ev := range events {
+		if ev.Kind.String() == "qos-admit" {
+			admits++
+		}
+	}
+	if admits != 1 {
+		t.Fatalf("qos-admit recorded %d times, want 1", admits)
+	}
+}
+
+// TestEngineFlatKeepsOneTenant: without a QoS config the spec's tenant,
+// class and deadline never reach the scheduler. Jobs from 300 distinct
+// tenants in the background class with a 1 ms deadline are all admitted
+// and run although their deadline passes in the queue, and the scheduler
+// knows only the default tenant before and after they run, so a client
+// cycling X-Tenant names cannot grow its state.
+func TestEngineFlatKeepsOneTenant(t *testing.T) {
+	const jobs = 300
+	clk := newQoSClock()
+	e := NewEngine(Config{Workers: 2, QueueDepth: jobs, QoSClock: clk.Now, Runner: stubRunner(-1, 0)})
+	onlyDefault := func(when string, queued int) {
+		t.Helper()
+		st := e.sched.State()
+		if len(st) != 1 || st[0].Tenant != qos.DefaultTenant || st[0].Queued != queued {
+			t.Fatalf("%s: scheduler state %+v, want only %q with %d queued", when, st, qos.DefaultTenant, queued)
+		}
+	}
+	ids := make([]string, jobs)
+	for i := range ids {
+		spec := tenantJob(fmt.Sprintf("tenant-%03d", i))
+		spec.Class = "background"
+		spec.DeadlineMS = 1
+		v, err := e.Submit(spec)
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		ids[i] = v.ID
+	}
+	onlyDefault("before the jobs run", jobs)
+
+	clk.Advance(time.Second) // every deadline passes in the queue
+	e.Start()
+	defer e.Shutdown(context.Background())
+	for _, id := range ids {
+		if v := waitTerminal(t, e, id, 5*time.Second); v.State != StateDone {
+			t.Fatalf("job %s ended %s (%s), want done", id, v.State, v.Error)
+		}
+	}
+	onlyDefault("after the jobs ran", 0)
 }
 
 // postJobTenant submits a spec with an X-Tenant header.

@@ -6,10 +6,39 @@ import (
 	"testing"
 
 	"sdcgmres/internal/obs"
+	"sdcgmres/internal/qos"
 )
 
+// These tests pin the engine's admission queue without a QoS config: a
+// scheduler built from qos.Flat, to which the engine pushes every job as
+// the default tenant in the batch band with no deadline. They are the
+// oracle that it keeps a bounded FIFO's order, bound and drain.
+
+// flatQueue is a qos.Flat scheduler pushed the way the engine pushes
+// without a QoS config.
+type flatQueue[T any] struct{ *qos.Scheduler[T] }
+
+func newFlatQueue[T any](t *testing.T, depth int) flatQueue[T] {
+	t.Helper()
+	s, err := qos.New(qos.Flat(depth), qos.Options[T]{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return flatQueue[T]{s}
+}
+
+func (q flatQueue[T]) Push(v T) error {
+	return q.Scheduler.Push(qos.DefaultTenant, qos.Batch, 0, v)
+}
+
+// isQueueFull reports whether err is the full-queue rejection.
+func isQueueFull(err error) bool {
+	var shed *qos.ShedError
+	return errors.As(err, &shed) && shed.Reason == qos.ReasonQueueFull
+}
+
 func TestFIFOOrder(t *testing.T) {
-	q := NewFIFO[int](8)
+	q := newFlatQueue[int](t, 8)
 	for i := 0; i < 5; i++ {
 		if err := q.Push(i); err != nil {
 			t.Fatal(err)
@@ -27,14 +56,14 @@ func TestFIFOOrder(t *testing.T) {
 }
 
 func TestFIFOAdmissionControl(t *testing.T) {
-	q := NewFIFO[int](2)
+	q := newFlatQueue[int](t, 2)
 	if err := q.Push(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := q.Push(2); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Push(3); !errors.Is(err, ErrQueueFull) {
+	if err := q.Push(3); !isQueueFull(err) {
 		t.Fatalf("overflow push: %v", err)
 	}
 	// Popping frees capacity.
@@ -47,11 +76,11 @@ func TestFIFOAdmissionControl(t *testing.T) {
 }
 
 func TestFIFOCloseDrains(t *testing.T) {
-	q := NewFIFO[int](4)
+	q := newFlatQueue[int](t, 4)
 	q.Push(1)
 	q.Push(2)
 	q.Close()
-	if err := q.Push(3); !errors.Is(err, ErrQueueClosed) {
+	if err := q.Push(3); !errors.Is(err, qos.ErrClosed) {
 		t.Fatalf("push after close: %v", err)
 	}
 	// Closing drains: queued items remain poppable, then Pop reports done.
@@ -67,7 +96,7 @@ func TestFIFOCloseDrains(t *testing.T) {
 }
 
 func TestFIFOCloseWakesBlockedPop(t *testing.T) {
-	q := NewFIFO[int](1)
+	q := newFlatQueue[int](t, 1)
 	done := make(chan bool)
 	go func() {
 		_, ok := q.Pop()
@@ -85,7 +114,7 @@ func TestFIFOCloseWakesBlockedPop(t *testing.T) {
 func TestFIFOPropertyPerProducerOrder(t *testing.T) {
 	const producers, items = 4, 300
 	type tagged struct{ producer, seq int }
-	q := NewFIFO[tagged](producers * items)
+	q := newFlatQueue[tagged](t, producers*items)
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
@@ -124,10 +153,10 @@ func TestFIFOPropertyPerProducerOrder(t *testing.T) {
 
 // TestFIFOPropertyCapacityUnderContention: when concurrent producers
 // over-subscribe a bounded queue, exactly capacity pushes succeed and the
-// rest fail with ErrQueueFull — no item is lost or duplicated.
+// rest fail as queue-full — no item is lost or duplicated.
 func TestFIFOPropertyCapacityUnderContention(t *testing.T) {
 	const capacity, producers, attempts = 16, 8, 50
-	q := NewFIFO[int](capacity)
+	q := newFlatQueue[int](t, capacity)
 	var wg sync.WaitGroup
 	var accepted, rejected obs.Counter
 	for p := 0; p < producers; p++ {
@@ -138,7 +167,7 @@ func TestFIFOPropertyCapacityUnderContention(t *testing.T) {
 				switch err := q.Push(i); {
 				case err == nil:
 					accepted.Inc()
-				case errors.Is(err, ErrQueueFull):
+				case isQueueFull(err):
 					rejected.Inc()
 				default:
 					t.Errorf("unexpected push error: %v", err)
@@ -171,7 +200,7 @@ func TestFIFOPropertyCapacityUnderContention(t *testing.T) {
 // pushed before Close must be consumed exactly once.
 func TestFIFOCloseWhilePopRace(t *testing.T) {
 	for round := 0; round < 50; round++ {
-		q := NewFIFO[int](64)
+		q := newFlatQueue[int](t, 64)
 		const consumers, preload = 6, 10
 		for i := 0; i < preload; i++ {
 			if err := q.Push(i); err != nil {
@@ -202,7 +231,7 @@ func TestFIFOCloseWhilePopRace(t *testing.T) {
 
 func TestFIFOConcurrent(t *testing.T) {
 	const producers, items = 8, 200
-	q := NewFIFO[int](producers * items)
+	q := newFlatQueue[int](t, producers*items)
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)

@@ -189,8 +189,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 	case errors.As(err, &shed):
 		writeThrottled(w, shed.RetryAfterSeconds(), err.Error())
-	case errors.Is(err, ErrQueueFull):
-		writeThrottled(w, s.engine.RetryAfter(), err.Error())
 	default:
 		writeError(w, http.StatusBadRequest, err.Error())
 	}

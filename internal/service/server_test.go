@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -547,4 +548,42 @@ func TestServerJobTraceEndpoint(t *testing.T) {
 	if r2.StatusCode != http.StatusNotFound || !strings.Contains(string(hint), "tracing") {
 		t.Fatalf("untraced job: status %d body %q", r2.StatusCode, hint)
 	}
+}
+
+// FuzzSubmitJob: a job submission is untrusted input. Whatever its body
+// and X-Tenant header, POST /v1/jobs must answer 202 with a job view, or
+// 400, 413 or 429 with the v1 error envelope, and never panic. The engine
+// is never started, so its depth-4 queue fills and later valid specs get
+// 429; the small body cap makes 413 reachable.
+func FuzzSubmitJob(f *testing.F) {
+	f.Add([]byte(`{"matrix":{"kind":"poisson","n":8}}`), "")
+	e := NewEngine(Config{Workers: 1, QueueDepth: 4, Runner: stubRunner(-1, 0)})
+	srv := NewServer(e, ServerOptions{MaxBodyBytes: 4 << 10})
+	f.Fuzz(func(t *testing.T, body []byte, tenant string) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		if tenant != "" {
+			req.Header.Set("X-Tenant", tenant)
+		}
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, req)
+		switch w.Code {
+		case http.StatusAccepted:
+			var v JobView
+			if err := json.Unmarshal(w.Body.Bytes(), &v); err != nil || v.ID == "" {
+				t.Fatalf("202 body is not a job view (%v): %s", err, w.Body)
+			}
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusTooManyRequests:
+			var env ErrorEnvelope
+			if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || env.Code == "" {
+				t.Fatalf("%d body is not an error envelope (%v): %s", w.Code, err, w.Body)
+			}
+			if w.Code == http.StatusTooManyRequests &&
+				(env.RetryAfterSeconds < 1 || w.Header().Get("Retry-After") != strconv.Itoa(env.RetryAfterSeconds)) {
+				t.Fatalf("429 retry advice: header %q, body %d", w.Header().Get("Retry-After"), env.RetryAfterSeconds)
+			}
+		default:
+			t.Fatalf("status %d for body %q, tenant %q: %s", w.Code, body, tenant, w.Body)
+		}
+	})
 }

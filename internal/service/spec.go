@@ -1,8 +1,9 @@
 // Package service implements the solver job engine behind cmd/solved: typed
 // job specs (matrix × solver configuration × optional fault injection), a
-// bounded FIFO queue with admission control, a worker pool that runs every
-// solve inside the internal/sandbox reliability model, a metrics registry,
-// and the HTTP handlers exposing all of it.
+// bounded admission queue (an internal/qos scheduler, a flat FIFO without a
+// QoS config), a worker pool that runs every solve inside the
+// internal/sandbox reliability model, a metrics registry, and the HTTP
+// handlers exposing all of it.
 //
 // The design transplants the paper's Section IV sandbox contract from the
 // inner solves of FT-GMRES to the service boundary: each submitted job is an
@@ -133,16 +134,15 @@ type JobSpec struct {
 	TimeBudgetMS int64 `json:"time_budget_ms,omitempty"`
 	// Tenant names the submitting tenant for QoS accounting. Empty falls
 	// under the scheduler's default tenant; the HTTP layer also fills it
-	// from the X-Tenant request header. Ignored when the engine runs
-	// without a QoS scheduler.
+	// from the X-Tenant request header. Ignored without a QoS config.
 	Tenant string `json:"tenant,omitempty"`
 	// Class is the QoS priority class: "interactive", "batch" (the
-	// default), or "background". Ignored without a QoS scheduler.
+	// default), or "background". Ignored without a QoS config.
 	Class string `json:"class,omitempty"`
 	// DeadlineMS, when positive, is the job's start-by budget in
 	// milliseconds: if the job cannot reach a worker within it, the
 	// scheduler sheds the job instead of running it late. Ignored without
-	// a QoS scheduler.
+	// a QoS config.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
