@@ -186,15 +186,15 @@ func main() {
 		}
 		for _, model := range []string{"large", "slight", "tiny"} {
 			start := time.Now()
-			pts, cfg, prog := sw.sweep(ctx, f.key, f.spec, model, f.step, campaign.DetectorSpec{})
+			pts, cfg, skipped := sw.sweep(ctx, f.key, f.spec, model, f.step, campaign.DetectorSpec{})
 			sum := expt.Summarize(p, cfg, pts)
 			summaries = append(summaries, sum)
 			writeCSV(*outdir, fmt.Sprintf("%s_%s.csv", f.key, slug(cfg.Model.String())), p, cfg, pts)
 			if show {
 				plotSweep(p, cfg.Model.String(), pts)
 				resumed := ""
-				if prog.Skipped > 0 {
-					resumed = fmt.Sprintf(", %d from journal", prog.Skipped)
+				if skipped > 0 {
+					resumed = fmt.Sprintf(", %d from journal", skipped)
 				}
 				fmt.Printf("   [%d runs in %v%s; worst case %d outer (+%d); %d unaffected]\n\n",
 					len(pts), time.Since(start).Round(time.Second), resumed, sum.MaxOuter, sum.MaxExtraOuter, sum.Unaffected)
@@ -486,15 +486,11 @@ func (s *sweeper) Close() {
 		f.workers.Wait()
 		f.cancel()
 		// External workers learn of the shutdown by polling; keep the
-		// listener up long enough for one more poll cycle so they exit
-		// cleanly instead of hitting a dead socket.
-		for _, w := range f.host.Metrics().Workers() {
-			if !strings.HasPrefix(w, "local-") {
-				time.Sleep(1200 * time.Millisecond)
-				break
-			}
-		}
-		f.srv.Close()
+		// listener up until they have heard it.
+		f.host.WaitClosed()
+		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		_ = f.srv.Shutdown(sctx) // bounded by sctx; the run is over either way
+		cancel()
 		m := f.host.Metrics().Snapshot()
 		fmt.Printf("fleet stats: %d leases granted, %d completed, %d expired; %d units completed, %d requeued; %d duplicate, %d rejected records\n",
 			m["leases_granted"], m["leases_completed"], m["leases_expired"],
@@ -505,8 +501,9 @@ func (s *sweeper) Close() {
 
 // sweep runs one series (one curve of one figure) through the campaign
 // engine, skipping journaled experiments, and returns the aggregated points
-// — byte-for-byte what the in-memory expt.Sweep path would have produced.
-func (s *sweeper) sweep(ctx context.Context, name string, spec campaign.ProblemSpec, model, step string, det campaign.DetectorSpec) ([]expt.SweepPoint, expt.SweepConfig, campaign.Progress) {
+// — byte-for-byte what the in-memory expt.Sweep path would have produced —
+// with the count of experiments the journal already held.
+func (s *sweeper) sweep(ctx context.Context, name string, spec campaign.ProblemSpec, model, step string, det campaign.DetectorSpec) ([]expt.SweepPoint, expt.SweepConfig, int) {
 	man := campaign.Manifest{
 		Name:      name,
 		Problems:  []campaign.ProblemSpec{spec},
@@ -519,46 +516,31 @@ func (s *sweeper) sweep(ctx context.Context, name string, spec campaign.ProblemS
 	if err != nil {
 		fatal(err)
 	}
-	var prog campaign.Progress
+	skipped := len(c.Units) - c.Remaining(s.have)
+	var fresh map[string]campaign.Record
+	var runErr error
 	if s.fleet != nil {
 		// Distributed path: the coordinator owns this journal; workers
 		// (in-process and external alike) execute the units and report
 		// records over the wire.
-		prog = campaign.Progress{Total: len(c.Units)}
-		for _, u := range c.Units {
-			if _, ok := s.have[u.ID]; ok {
-				prog.Skipped++
-			}
-		}
-		fresh, runErr := s.fleet.host.RunCampaign(ctx, c, s.journal, s.have, dist.CoordinatorConfig{
+		fresh, runErr = s.fleet.host.RunCampaign(ctx, c, s.journal, s.have, campaign.CoordinatorConfig{
 			LeaseTTL:  s.fleet.leaseTTL,
 			BatchSize: s.fleet.batch,
 			Memo:      s.memo,
 		})
-		for id, rec := range fresh {
-			s.have[id] = rec
-		}
-		if runErr != nil {
-			if ctx.Err() != nil {
-				s.interrupted()
-			}
-			fatal(runErr)
-		}
-		prog.Executed = len(fresh)
-		prog.Done = prog.Skipped + prog.Executed
 	} else {
 		r := campaign.NewRunner(c, s.journal, s.have, campaign.Options{Workers: s.workers, KernelWorkers: s.kernelWorkers, UnitBudget: time.Hour, Memo: s.memo})
-		runErr := r.Run(ctx)
-		for id, rec := range r.Records() {
-			s.have[id] = rec
+		runErr = r.Run(ctx)
+		fresh = r.Records()
+	}
+	for id, rec := range fresh {
+		s.have[id] = rec
+	}
+	if runErr != nil {
+		if ctx.Err() != nil {
+			s.interrupted()
 		}
-		if runErr != nil {
-			if ctx.Err() != nil {
-				s.interrupted()
-			}
-			fatal(runErr)
-		}
-		prog = r.Progress()
+		fatal(runErr)
 	}
 	series, err := c.Aggregate(s.have)
 	if err != nil {
@@ -568,7 +550,7 @@ func (s *sweeper) sweep(ctx context.Context, name string, spec campaign.ProblemS
 	if !sr.Complete() {
 		fatal(fmt.Errorf("series %s incomplete after run (%d missing)", sr.Key, sr.Missing))
 	}
-	return sr.Points, sr.Config, prog
+	return sr.Points, sr.Config, skipped
 }
 
 // interrupted reports where the journal lives and the exact command that

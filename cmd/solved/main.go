@@ -576,7 +576,7 @@ func runCoordinate(ctx context.Context, cfg cliConfig) error {
 		return fmt.Errorf("manifest %s has no name", cfg.coordinate)
 	}
 	lg.Info(bg, "coordinating campaign, calibrating problems", "campaign", man.Name)
-	compiled, err := dist.NewProblemCache().Compile(man)
+	compiled, err := campaign.Compile(man)
 	if err != nil {
 		return err
 	}
@@ -634,20 +634,30 @@ func runCoordinate(ctx context.Context, cfg cliConfig) error {
 	lg.Info(bg, "coordinator up", "addr", cfg.addr,
 		"join", "solved -worker -coordinator=http://"+join)
 
-	distCfg := dist.CoordinatorConfig{
+	distCfg := campaign.CoordinatorConfig{
 		LeaseTTL:  cfg.leaseTTL,
 		BatchSize: cfg.batch,
 		Memo:      cfg.memo,
 	}
 	if st != nil {
+		// Executed and memo-served records alike reach the store.
 		distCfg.OnRecord = func(rec campaign.Record) {
 			if _, err := st.Ingest(man.Name, rec); err != nil {
 				lg.Warn(bg, "store ingest failed", "record", rec.ID, "error", err)
 			}
 		}
+		distCfg.OnMemo = distCfg.OnRecord
 	}
 	fresh, runErr := host.RunCampaign(ctx, compiled, journal, have, distCfg)
 	host.Close()
+	// Keep serving until the fleet has heard the closed state, so workers
+	// exit cleanly instead of retrying a dead listener.
+	defer func() {
+		host.WaitClosed()
+		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(sctx) // bounded by sctx; Close follows
+	}()
 	for id, rec := range fresh {
 		have[id] = rec
 	}

@@ -295,7 +295,7 @@ func TestCoordinatorWiring(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- w.Run(wctx) }()
 
-	fresh, err := host.RunCampaign(ctx, compiled, journal, have, dist.CoordinatorConfig{BatchSize: 2, LeaseTTL: 10 * time.Second})
+	fresh, err := host.RunCampaign(ctx, compiled, journal, have, campaign.CoordinatorConfig{BatchSize: 2, LeaseTTL: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

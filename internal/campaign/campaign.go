@@ -6,11 +6,14 @@
 //
 // A declarative Manifest (problems × fault models × MGS steps × detector
 // policies) compiles into a deterministic list of work units with stable
-// content-derived IDs. An engine executes the units on a worker pool, each
-// under the sandbox reliability model with a per-unit deadline, and appends
-// every completed unit to an append-only JSONL journal. A restarted
-// campaign reloads the journal and skips finished units, so a crash or
-// SIGINT loses at most the in-flight experiments. An aggregator folds the
+// content-derived IDs. One executor runs them: a Coordinator that leases
+// units to workers, checks every record they return, as the paper's
+// reliable host checks its unreliable guest, and appends it to an
+// append-only JSONL journal. Runner drains it with in-process goroutines,
+// each running one unit at a time under the sandbox reliability model with
+// a per-unit deadline; internal/dist serves the same coordinator to remote
+// workers. A restarted campaign reloads the journal and skips finished
+// units, so a crash or SIGINT loses at most the in-flight experiments. An aggregator folds the
 // journal back into the exact artifacts the in-memory expt path produces —
 // byte-identical CSVs and summary tables — because both paths run
 // expt.RunPoint on the same sites and render through the same writers.

@@ -1,4 +1,4 @@
-package dist
+package campaign
 
 import (
 	"io"
@@ -8,8 +8,8 @@ import (
 
 // Metrics is the coordinator's observability registry: lease lifecycle
 // counters plus per-worker unit latency histograms, rendered in the
-// Prometheus text exposition format. All methods are safe for concurrent
-// use.
+// Prometheus text exposition format. The families keep the dist_ prefix of
+// the fleet's /metrics page. All methods are safe for concurrent use.
 type Metrics struct {
 	reg *obs.Registry
 

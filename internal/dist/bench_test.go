@@ -8,9 +8,10 @@ import (
 )
 
 // BenchmarkLeaseDispatch measures one full coordinator dispatch cycle —
-// Claim a batch, Complete it with validated, journaled records — the
-// per-round-trip cost a worker fleet pays beyond the experiments
-// themselves. Baseline recorded in BENCH_dist.json.
+// Claim a batch, Complete it with validated, journaled records — the cost
+// every campaign pays beyond the experiments themselves: a fleet once per
+// lease round trip, a local run once per unit (batches of one). Baseline
+// recorded in BENCH_dist.json.
 func BenchmarkLeaseDispatch(b *testing.B) {
 	c, err := sharedCache.Compile(testManifest())
 	if err != nil {
@@ -28,7 +29,7 @@ func BenchmarkLeaseDispatch(b *testing.B) {
 	for _, u := range c.Units {
 		recsByID[u.ID] = fakeRecord(u)
 	}
-	co := NewCoordinator(c, j, nil, CoordinatorConfig{BatchSize: 4})
+	co := campaign.NewCoordinator(c, j, nil, campaign.CoordinatorConfig{BatchSize: 4})
 	batch := make([]campaign.Record, 0, 4)
 
 	b.ReportAllocs()
@@ -42,7 +43,7 @@ func BenchmarkLeaseDispatch(b *testing.B) {
 			// Campaign exhausted: recycle the coordinator against the same
 			// journal (appends just accumulate) outside the timer.
 			b.StopTimer()
-			co = NewCoordinator(c, j, nil, CoordinatorConfig{BatchSize: 4})
+			co = campaign.NewCoordinator(c, j, nil, campaign.CoordinatorConfig{BatchSize: 4})
 			b.StartTimer()
 			continue
 		}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sdcgmres/internal/campaign"
+	"sdcgmres/internal/memo"
 )
 
 // testManifest is a tiny real campaign: poisson 8x8, one model, one step,
@@ -83,7 +84,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 func TestCoordinatorLifecycle(t *testing.T) {
 	c := compileTest(t)
 	j, have := openTestJournal(t)
-	co := NewCoordinator(c, j, have, CoordinatorConfig{BatchSize: 4})
+	co := campaign.NewCoordinator(c, j, have, campaign.CoordinatorConfig{BatchSize: 4})
 
 	var got []campaign.Unit
 	for {
@@ -142,7 +143,7 @@ func TestCoordinatorExpiryRequeues(t *testing.T) {
 	c := compileTest(t)
 	j, have := openTestJournal(t)
 	clock := &fakeClock{t: time.Unix(1000, 0)}
-	co := NewCoordinator(c, j, have, CoordinatorConfig{
+	co := campaign.NewCoordinator(c, j, have, campaign.CoordinatorConfig{
 		BatchSize: 3, LeaseTTL: 10 * time.Second, Now: clock.Now,
 	})
 
@@ -172,7 +173,7 @@ func TestCoordinatorExpiryRequeues(t *testing.T) {
 
 	// Heartbeating the dead lease fails; completing against it still lands
 	// the records (at-least-once: work survives lease loss).
-	if _, err := co.Heartbeat(dead.ID); err != ErrLeaseGone {
+	if _, err := co.Heartbeat(dead.ID); err != campaign.ErrLeaseGone {
 		t.Fatalf("heartbeat on expired lease: %v", err)
 	}
 	resp, err := co.Complete(dead.ID, "doomed", recordsFor(dead.Units[1:2]))
@@ -193,7 +194,7 @@ func TestCoordinatorHeartbeatExtends(t *testing.T) {
 	c := compileTest(t)
 	j, have := openTestJournal(t)
 	clock := &fakeClock{t: time.Unix(1000, 0)}
-	co := NewCoordinator(c, j, have, CoordinatorConfig{
+	co := campaign.NewCoordinator(c, j, have, campaign.CoordinatorConfig{
 		BatchSize: 2, LeaseTTL: 10 * time.Second, Now: clock.Now,
 	})
 	l, _, err := co.Claim("w1", 0)
@@ -217,7 +218,7 @@ func TestCoordinatorHeartbeatExtends(t *testing.T) {
 func TestCoordinatorRejectsTamperedRecords(t *testing.T) {
 	c := compileTest(t)
 	j, have := openTestJournal(t)
-	co := NewCoordinator(c, j, have, CoordinatorConfig{BatchSize: 4})
+	co := campaign.NewCoordinator(c, j, have, campaign.CoordinatorConfig{BatchSize: 4})
 	l, _, err := co.Claim("w1", 0)
 	if err != nil || l == nil {
 		t.Fatal(err)
@@ -255,7 +256,7 @@ func TestCoordinatorRejectsTamperedRecords(t *testing.T) {
 func TestCoordinatorDuplicateIdempotent(t *testing.T) {
 	c := compileTest(t)
 	j, have := openTestJournal(t)
-	co := NewCoordinator(c, j, have, CoordinatorConfig{BatchSize: 2})
+	co := campaign.NewCoordinator(c, j, have, campaign.CoordinatorConfig{BatchSize: 2})
 	l, _, err := co.Claim("w1", 0)
 	if err != nil || l == nil {
 		t.Fatal(err)
@@ -297,7 +298,7 @@ func TestCoordinatorResumeSkipsJournaled(t *testing.T) {
 		}
 		have[u.ID] = rec
 	}
-	co := NewCoordinator(c, j, have, CoordinatorConfig{BatchSize: 100})
+	co := campaign.NewCoordinator(c, j, have, campaign.CoordinatorConfig{BatchSize: 100})
 	l, _, err := co.Claim("w1", 0)
 	if err != nil || l == nil {
 		t.Fatal(err)
@@ -319,7 +320,7 @@ func TestCoordinatorResumeSkipsJournaled(t *testing.T) {
 func TestCoordinatorDrainStopsGrants(t *testing.T) {
 	c := compileTest(t)
 	j, have := openTestJournal(t)
-	co := NewCoordinator(c, j, have, CoordinatorConfig{BatchSize: 2})
+	co := campaign.NewCoordinator(c, j, have, campaign.CoordinatorConfig{BatchSize: 2})
 	l, _, err := co.Claim("w1", 0)
 	if err != nil || l == nil {
 		t.Fatal(err)
@@ -340,7 +341,7 @@ func TestCoordinatorDrainStopsGrants(t *testing.T) {
 func TestCoordinatorClaimMaxCapsBatch(t *testing.T) {
 	c := compileTest(t)
 	j, have := openTestJournal(t)
-	co := NewCoordinator(c, j, have, CoordinatorConfig{BatchSize: 8})
+	co := campaign.NewCoordinator(c, j, have, campaign.CoordinatorConfig{BatchSize: 8})
 	l, _, err := co.Claim("w1", 3)
 	if err != nil || l == nil {
 		t.Fatal(err)
@@ -357,7 +358,7 @@ func TestCoordinatorOnRecordHook(t *testing.T) {
 	c := compileTest(t)
 	j, have := openTestJournal(t)
 	var seen []campaign.Record
-	co := NewCoordinator(c, j, have, CoordinatorConfig{
+	co := campaign.NewCoordinator(c, j, have, campaign.CoordinatorConfig{
 		BatchSize: 4,
 		OnRecord:  func(rec campaign.Record) { seen = append(seen, rec) },
 	})
@@ -395,5 +396,66 @@ func TestCoordinatorOnRecordHook(t *testing.T) {
 	}
 	if len(seen) != len(l.Units) {
 		t.Fatalf("duplicate report re-fired OnRecord: %d calls, want %d", len(seen), len(l.Units))
+	}
+}
+
+// TestCoordinatorMemoProbesEachUnitOnce pins the memo lookup to one probe
+// per unit, made when the unit would be granted: draining the 10-unit
+// campaign in batches of 2 against an empty cache misses once per unit. A
+// probe of the whole queue on every claim misses 10+8+6+4+2 = 30 times.
+func TestCoordinatorMemoProbesEachUnitOnce(t *testing.T) {
+	c := compileTest(t)
+	j, have := openTestJournal(t)
+	cache := memo.New(memo.Config{})
+	co := campaign.NewCoordinator(c, j, have, campaign.CoordinatorConfig{BatchSize: 2, Memo: cache})
+	for {
+		l, done, err := co.Claim("w1", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			break
+		}
+		if l == nil {
+			t.Fatal("claim stalled with no lease outstanding")
+		}
+		if _, err := co.Complete(l.ID, "w1", recordsFor(l.Units)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := cache.Stats().Misses; got != int64(len(c.Units)) {
+		t.Fatalf("memo misses = %d, want one per unit (%d)", got, len(c.Units))
+	}
+}
+
+// TestCoordinatorProgressETA pins the ETA: elapsed time per executed unit
+// times the units remaining. Two workers that execute half the campaign in
+// 10s leave an ETA of 10s; the elapsed time already counts both workers.
+func TestCoordinatorProgressETA(t *testing.T) {
+	c := compileTest(t)
+	j, have := openTestJournal(t)
+	clock := &fakeClock{t: time.Unix(1000, 0)}
+	co := campaign.NewCoordinator(c, j, have, campaign.CoordinatorConfig{Now: clock.Now})
+	half := len(c.Units) / 2
+	l1, _, err := co.Claim("w1", half/2)
+	if err != nil || l1 == nil {
+		t.Fatalf("claim: %v %v", l1, err)
+	}
+	l2, _, err := co.Claim("w2", half-half/2)
+	if err != nil || l2 == nil {
+		t.Fatalf("claim: %v %v", l2, err)
+	}
+	if p := co.Progress(); p.ETAMS != 0 {
+		t.Fatalf("ETA before any unit finished: %+v", p)
+	}
+	clock.Advance(10 * time.Second)
+	for worker, l := range map[string]*campaign.Lease{"w1": l1, "w2": l2} {
+		if _, err := co.Complete(l.ID, worker, recordsFor(l.Units)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := co.Progress()
+	if p.Executed != half || p.Done != half || p.ElapsedMS != 10000 || p.ETAMS != 10000 {
+		t.Fatalf("progress after half the units in 10s: %+v, want ETA 10000 ms", p)
 	}
 }

@@ -1,14 +1,16 @@
 // Package dist fans a compiled fault-injection campaign out across a fleet
-// of workers over HTTP — the distributed execution layer on top of
-// internal/campaign.
+// of workers over HTTP: the wire protocol in front of internal/campaign's
+// lease Coordinator.
 //
 // The paper's Section VII campaign is an embarrassingly parallel unit grid
 // (one injected SDC at every inner-iteration site × fault magnitudes × MGS
-// steps × problems) that internal/campaign already compiles into
-// deterministic units with content-derived IDs. This package splits that
-// grid across machines while keeping the single-process guarantees:
+// steps × problems) that internal/campaign compiles into deterministic
+// units with content-derived IDs and executes through one
+// campaign.Coordinator. The local campaign.Runner drains it with
+// in-process goroutines; this package lets remote workers drain it too,
+// with the single-process guarantees intact:
 //
-//   - A Coordinator owns the journal. It hands out *leases* of unit
+//   - The coordinator owns the journal. It hands out *leases* of unit
 //     batches; a lease stays valid only while its worker heartbeats, and an
 //     expired lease's units are requeued for other workers — dead-worker
 //     detection by missed heartbeats.
@@ -28,14 +30,15 @@
 //     campaign.Aggregate path, so figure CSVs from a distributed run are
 //     byte-identical to the single-process ones.
 //
-// A Host wraps one Coordinator at a time behind the wire protocol and
+// A Host wraps one coordinator at a time behind the wire protocol and
 // sequences successive campaigns to a connected fleet via a generation
 // counter, so one fleet can serve a whole paperfigs run (many small
-// campaigns) without re-joining.
+// campaigns) without re-joining. After Close, WaitClosed keeps the caller
+// serving until the workers have heard the closed state and exit cleanly.
 //
 // Wire protocol (all bodies JSON):
 //
-//	GET  /v1/dist/campaign               → CampaignInfo (manifest + lease TTL)
+//	GET  /v1/dist/campaign[?worker=NAME] → CampaignInfo (manifest + lease TTL)
 //	GET  /v1/dist/status                 → StatusInfo (stats, active leases)
 //	POST /v1/leases                      ClaimRequest → ClaimResponse
 //	POST /v1/leases/{id}/heartbeat       HeartbeatRequest → HeartbeatResponse | 410
@@ -60,17 +63,18 @@ const (
 	StateClosed = "closed"
 )
 
-// Protocol errors.
+// Protocol errors. A heartbeat on an expired or unknown lease answers 410
+// and surfaces to the worker as campaign.ErrLeaseGone.
 var (
-	// ErrLeaseGone: the lease expired (its units were requeued) or never
-	// existed. Workers may keep reporting finished records — completion is
-	// idempotent — but should stop working the batch.
-	ErrLeaseGone = errors.New("dist: lease gone")
 	// ErrClosed: the host has shut down and accepts no further campaigns.
 	ErrClosed = errors.New("dist: host closed")
 	// ErrBusy: the host is already serving a campaign.
 	ErrBusy = errors.New("dist: host already serving a campaign")
 )
+
+// CoordinatorConfig parameterizes the coordinator behind each campaign a
+// Host serves.
+type CoordinatorConfig = campaign.CoordinatorConfig
 
 // CampaignInfo is what workers poll to discover work.
 type CampaignInfo struct {
@@ -102,18 +106,6 @@ type ClaimRequest struct {
 	Max int `json:"max,omitempty"`
 }
 
-// Lease is a batch of units granted to one worker until it expires.
-type Lease struct {
-	// ID names the lease in heartbeat and completion calls.
-	ID string `json:"id"`
-	// Units are the experiments to run.
-	Units []campaign.Unit `json:"units"`
-	// TTLMS is how long the lease lives without a heartbeat renewal.
-	TTLMS int64 `json:"ttl_ms"`
-	// Remaining is the coordinator's unleased backlog after this grant.
-	Remaining int `json:"remaining"`
-}
-
 // ClaimResponse answers a claim.
 type ClaimResponse struct {
 	// Generation is the host's current campaign generation.
@@ -126,7 +118,7 @@ type ClaimResponse struct {
 	// Lease is the granted batch. Nil with neither Done nor Closed set
 	// means "nothing to grant right now, back off and retry" (all
 	// remaining units are leased out, or the coordinator is draining).
-	Lease *Lease `json:"lease,omitempty"`
+	Lease *campaign.Lease `json:"lease,omitempty"`
 }
 
 // HeartbeatRequest renews a lease.
@@ -147,50 +139,9 @@ type CompleteRequest struct {
 	Records []campaign.Record `json:"records"`
 }
 
-// CompleteResponse acknowledges a completion report.
-type CompleteResponse struct {
-	// Accepted counts records journaled or recognized as duplicates.
-	Accepted int `json:"accepted"`
-	// Rejected counts records that failed validation (not part of the
-	// campaign, ID hash mismatch, malformed outcome).
-	Rejected int `json:"rejected"`
-	// Done: the campaign completed with this report.
-	Done bool `json:"done,omitempty"`
-}
-
-// LeaseInfo is one active lease in a status snapshot.
-type LeaseInfo struct {
-	ID     string `json:"id"`
-	Worker string `json:"worker"`
-	// Units is the lease's outstanding (not yet completed) unit count.
-	Units int `json:"units"`
-	// ExpiresInMS is the time left before the lease is requeued.
-	ExpiresInMS int64 `json:"expires_in_ms"`
-}
-
-// Stats is a point-in-time snapshot of a coordinator.
-type Stats struct {
-	// Total is the campaign's unit count.
-	Total int `json:"total"`
-	// Done counts journaled units (including those resumed from the
-	// journal at startup).
-	Done int `json:"done"`
-	// Pending counts units waiting to be leased.
-	Pending int `json:"pending"`
-	// Leased counts units currently out on active leases.
-	Leased int `json:"leased"`
-	// Draining: the coordinator grants no further leases.
-	Draining bool `json:"draining,omitempty"`
-	// Leases lists the active leases.
-	Leases []LeaseInfo `json:"leases,omitempty"`
-}
-
-// Backlog is the incomplete-unit count — what a fleet health probe wants.
-func (s Stats) Backlog() int { return s.Pending + s.Leased }
-
 // StatusInfo answers GET /v1/dist/status.
 type StatusInfo struct {
-	Generation int    `json:"generation"`
-	State      string `json:"state"`
-	Stats      Stats  `json:"stats"`
+	Generation int            `json:"generation"`
+	State      string         `json:"state"`
+	Stats      campaign.Stats `json:"stats"`
 }

@@ -244,6 +244,44 @@ func TestFleetGenerations(t *testing.T) {
 	}
 }
 
+// TestWorkerExitsCleanlyAfterClose drops the listener as soon as
+// WaitClosed returns: the worker must already have heard the closed state
+// and return nil, instead of retrying a dead listener until it gives up.
+func TestWorkerExitsCleanlyAfterClose(t *testing.T) {
+	c := compileTest(t)
+	host := NewHost(nil, nil)
+	ts := httptest.NewServer(host)
+	defer ts.Close()
+	w := NewWorker(WorkerConfig{
+		Coordinator: ts.URL,
+		Name:        "w1",
+		Problems:    sharedCache,
+		Poll:        10 * time.Millisecond,
+		Backoff:     Backoff{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond},
+		MaxRetries:  2,
+	})
+	done := make(chan error, 1)
+	go func() { done <- w.Run(context.Background()) }()
+
+	j, have := openTestJournal(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	if _, err := host.RunCampaign(ctx, c, j, have, CoordinatorConfig{BatchSize: 2, LeaseTTL: 10 * time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	host.Close()
+	host.WaitClosed()
+	ts.Close()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("worker after its coordinator closed: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker still running after its coordinator closed")
+	}
+}
+
 // TestHostWireValidation covers the HTTP edges the e2e paths don't: stale
 // generations, unknown leases, malformed and oversized bodies, status.
 func TestHostWireValidation(t *testing.T) {

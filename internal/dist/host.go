@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"time"
 
 	"sdcgmres/internal/campaign"
 	"sdcgmres/internal/obs"
@@ -17,14 +18,24 @@ import (
 // this — so the cap only exists to shed garbage.
 const maxDistBodyBytes = 8 << 20
 
+// closeGrace bounds WaitClosed, and a worker silent for longer is presumed
+// dead. A live worker claims at least every Backoff.Max (5s by default)
+// and polls the campaign one Poll interval after a closed claim.
+const closeGrace = 10 * time.Second
+
+// maxTrackedWorkers caps the worker names WaitClosed remembers, so requests
+// under invented names cannot grow the host without bound.
+const maxTrackedWorkers = 1024
+
 // Host serves the distributed-campaign wire protocol over HTTP. It runs one
-// Coordinator at a time and sequences successive campaigns to a connected
-// fleet through a generation counter: workers poll GET /v1/dist/campaign,
-// recompile when the generation moves, and drain for good when the host
-// closes. The Host is an http.Handler, so it mounts standalone (paperfigs
-// -fleet) or inside a service.Server (solved -coordinate) alike.
+// campaign.Coordinator at a time and sequences successive campaigns to a
+// connected fleet through a generation counter: workers poll GET
+// /v1/dist/campaign, recompile when the generation moves, and drain for
+// good when the host closes. The Host is an http.Handler, so it mounts
+// standalone (paperfigs -fleet) or inside a service.Server (solved
+// -coordinate) alike.
 type Host struct {
-	metrics *Metrics
+	metrics *campaign.Metrics
 	mux     *http.ServeMux
 	log     *obs.Logger
 	red     *obs.RED
@@ -32,9 +43,12 @@ type Host struct {
 	mu     sync.Mutex
 	gen    int
 	man    *campaign.Manifest
-	coord  *Coordinator
+	coord  *campaign.Coordinator
 	cid    string
 	closed bool
+	// contacts holds each named worker's last claim, heartbeat or report;
+	// a worker leaves it once a campaign poll has answered it closed.
+	contacts map[string]time.Time
 }
 
 // NewHost builds an idle host. A nil metrics registry gets a fresh one;
@@ -44,11 +58,12 @@ type Host struct {
 // fleet's standard HTTP telemetry — correlation-ID propagation and RED
 // metrics under the "dist" prefix, so a coordinator mounted inside a
 // service.Server keeps its families distinct from the service's.
-func NewHost(m *Metrics, log *obs.Logger) *Host {
+func NewHost(m *campaign.Metrics, log *obs.Logger) *Host {
 	if m == nil {
-		m = NewMetrics()
+		m = campaign.NewMetrics()
 	}
-	h := &Host{metrics: m, mux: http.NewServeMux(), log: log.Named("dist"), red: obs.NewRED("dist")}
+	h := &Host{metrics: m, mux: http.NewServeMux(), log: log.Named("dist"), red: obs.NewRED("dist"),
+		contacts: make(map[string]time.Time)}
 	handle := func(pattern, route string, hf http.HandlerFunc) {
 		h.mux.Handle(pattern, obs.Instrument(h.red, h.log, route, hf))
 	}
@@ -70,7 +85,7 @@ func (h *Host) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // Metrics returns the host's registry (for /metrics wiring and tests).
-func (h *Host) Metrics() *Metrics { return h.metrics }
+func (h *Host) Metrics() *campaign.Metrics { return h.metrics }
 
 // RED returns the host's HTTP telemetry registry (dist_http_* families),
 // for embedding in a wrapping server's /metrics exposition.
@@ -105,10 +120,47 @@ func (h *Host) Backlog() int {
 
 // Close permanently transitions the host to StateClosed: connected workers
 // observe it on their next poll and exit. A campaign still running keeps
-// its coordinator until RunCampaign returns.
+// its coordinator until RunCampaign returns. Close does not block; see
+// WaitClosed.
 func (h *Host) Close() {
 	h.mu.Lock()
 	h.closed = true
+	h.mu.Unlock()
+}
+
+// WaitClosed blocks after Close until every worker heard from within the
+// last closeGrace has been answered StateClosed by a campaign poll — the
+// answer on which it exits — or until closeGrace has passed. Serving until
+// then lets workers exit cleanly instead of retrying a dead listener; a
+// worker killed mid-campaign never polls again, hence the bound. The last
+// answers may still be in flight when it returns, so stop the server with
+// http.Server.Shutdown, which lets them finish, not Close.
+func (h *Host) WaitClosed() {
+	deadline := time.Now().Add(closeGrace)
+	for time.Now().Before(deadline) && h.awaiting() {
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// awaiting reports whether a recently heard worker has not been told the
+// host is closed.
+func (h *Host) awaiting() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, last := range h.contacts {
+		if time.Since(last) < closeGrace {
+			return true
+		}
+	}
+	return false
+}
+
+// touch records a named worker's contact.
+func (h *Host) touch(worker string) {
+	h.mu.Lock()
+	if _, ok := h.contacts[worker]; worker != "" && (ok || len(h.contacts) < maxTrackedWorkers) {
+		h.contacts[worker] = time.Now()
+	}
 	h.mu.Unlock()
 }
 
@@ -118,7 +170,7 @@ func (h *Host) Close() {
 // ctx.Err(); records journaled before the cut survive for a resume. On
 // success it returns the records journaled during this run (the caller
 // merges them over the resumed set).
-func (h *Host) RunCampaign(ctx context.Context, c *campaign.Compiled, j *campaign.Journal, have map[string]campaign.Record, cfg CoordinatorConfig) (map[string]campaign.Record, error) {
+func (h *Host) RunCampaign(ctx context.Context, c *campaign.Compiled, j *campaign.Journal, have map[string]campaign.Record, cfg campaign.CoordinatorConfig) (map[string]campaign.Record, error) {
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
@@ -141,7 +193,7 @@ func (h *Host) RunCampaign(ctx context.Context, c *campaign.Compiled, j *campaig
 			cfg.CID = obs.NewID()
 		}
 	}
-	co := NewCoordinator(c, j, have, cfg)
+	co := campaign.NewCoordinator(c, j, have, cfg)
 	h.gen++
 	h.man = &c.Manifest
 	h.coord = co
@@ -175,26 +227,33 @@ func (h *Host) RunCampaign(ctx context.Context, c *campaign.Compiled, j *campaig
 }
 
 // snapshot returns the current generation, coordinator and closed flag.
-func (h *Host) snapshot() (int, *Coordinator, bool) {
+func (h *Host) snapshot() (int, *campaign.Coordinator, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.gen, h.coord, h.closed
 }
 
-func (h *Host) handleCampaign(w http.ResponseWriter, _ *http.Request) {
+func (h *Host) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	h.mu.Lock()
 	info := CampaignInfo{Generation: h.gen, State: StateIdle}
 	switch {
 	case h.coord != nil:
 		info.State = StateRunning
 		info.Manifest = h.man
-		info.LeaseTTLMS = h.coord.cfg.LeaseTTL.Milliseconds()
+		info.LeaseTTLMS = h.coord.LeaseTTL().Milliseconds()
 		info.CorrelationID = h.cid
 	case h.closed:
 		info.State = StateClosed
 	}
 	h.mu.Unlock()
 	distJSON(w, http.StatusOK, info)
+	if info.State == StateClosed {
+		// The worker exits on this answer, which may still be in flight
+		// when WaitClosed returns; see there.
+		h.mu.Lock()
+		delete(h.contacts, r.URL.Query().Get("worker"))
+		h.mu.Unlock()
+	}
 }
 
 func (h *Host) handleStatus(w http.ResponseWriter, _ *http.Request) {
@@ -206,6 +265,7 @@ func (h *Host) handleClaim(w http.ResponseWriter, r *http.Request) {
 	if !distDecode(w, r, &req) {
 		return
 	}
+	h.touch(req.Worker)
 	gen, co, closed := h.snapshot()
 	resp := ClaimResponse{Generation: gen, Closed: closed}
 	// A stale or future generation gets no lease — the worker sees the
@@ -227,13 +287,14 @@ func (h *Host) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if !distDecode(w, r, &req) {
 		return
 	}
+	h.touch(req.Worker)
 	_, co, _ := h.snapshot()
 	if co == nil {
-		distError(w, http.StatusGone, ErrLeaseGone.Error())
+		distError(w, http.StatusGone, campaign.ErrLeaseGone.Error())
 		return
 	}
 	ttl, err := co.Heartbeat(r.PathValue("id"))
-	if errors.Is(err, ErrLeaseGone) {
+	if errors.Is(err, campaign.ErrLeaseGone) {
 		distError(w, http.StatusGone, err.Error())
 		return
 	}
@@ -245,11 +306,12 @@ func (h *Host) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if !distDecode(w, r, &req) {
 		return
 	}
+	h.touch(req.Worker)
 	_, co, _ := h.snapshot()
 	if co == nil {
 		// The campaign ended (or never started); the records are late
 		// duplicates at best. Acknowledge so the worker moves on.
-		distJSON(w, http.StatusOK, CompleteResponse{Done: true})
+		distJSON(w, http.StatusOK, campaign.CompleteResponse{Done: true})
 		return
 	}
 	resp, err := co.Complete(r.PathValue("id"), req.Worker, req.Records)

@@ -9,6 +9,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"sync"
 	"time"
 
@@ -214,7 +215,8 @@ func (w *Worker) Run(ctx context.Context) error {
 			return err
 		}
 		var info CampaignInfo
-		if err := w.callRetry(ctx, http.MethodGet, "/v1/dist/campaign", nil, &info); err != nil {
+		// Naming the worker lets a closing host count it as told.
+		if err := w.callRetry(ctx, http.MethodGet, "/v1/dist/campaign?worker="+url.QueryEscape(w.cfg.Name), nil, &info); err != nil {
 			return fmt.Errorf("dist: worker %s: fetch campaign: %w", w.cfg.Name, err)
 		}
 		switch {
@@ -294,7 +296,7 @@ func (w *Worker) runGeneration(ctx context.Context, info CampaignInfo) error {
 // completion is idempotent, and the coordinator keeps first-arriving valid
 // records even from expired leases. On drain (ctx canceled) the report goes
 // out on a short detached context so finished work isn't thrown away.
-func (w *Worker) executeLease(ctx context.Context, info CampaignInfo, l *Lease) error {
+func (w *Worker) executeLease(ctx context.Context, info CampaignInfo, l *campaign.Lease) error {
 	ttl := time.Duration(l.TTLMS) * time.Millisecond
 	hbCtx, lost := context.WithCancel(ctx)
 	defer lost()
@@ -312,7 +314,7 @@ func (w *Worker) executeLease(ctx context.Context, info CampaignInfo, l *Lease) 
 			}
 			var resp HeartbeatResponse
 			err := w.call(hbCtx, http.MethodPost, "/v1/leases/"+l.ID+"/heartbeat", HeartbeatRequest{Worker: w.cfg.Name}, &resp)
-			if errors.Is(err, ErrLeaseGone) {
+			if errors.Is(err, campaign.ErrLeaseGone) {
 				w.leasesLost.Inc()
 				w.log.Warn(w.lctx, "lease gone, abandoning batch", "lease", l.ID)
 				lost()
@@ -373,7 +375,7 @@ feed:
 		postCtx, cancel = context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 	}
-	var resp CompleteResponse
+	var resp campaign.CompleteResponse
 	req := CompleteRequest{Worker: w.cfg.Name, Records: recs}
 	if err := w.callRetry(postCtx, http.MethodPost, "/v1/leases/"+l.ID+"/records", req, &resp); err != nil {
 		// The records are lost to this worker but not to the campaign:
@@ -404,7 +406,7 @@ func retryable(err error) bool {
 	if errors.As(err, &se) {
 		return se.status >= 500
 	}
-	return !errors.Is(err, ErrLeaseGone) && !errors.Is(err, context.Canceled) &&
+	return !errors.Is(err, campaign.ErrLeaseGone) && !errors.Is(err, context.Canceled) &&
 		!errors.Is(err, context.DeadlineExceeded)
 }
 
@@ -437,7 +439,7 @@ func (w *Worker) call(ctx context.Context, method, path string, in, out any) err
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusGone {
 		io.Copy(io.Discard, resp.Body)
-		return ErrLeaseGone
+		return campaign.ErrLeaseGone
 	}
 	if resp.StatusCode/100 != 2 {
 		var e struct {

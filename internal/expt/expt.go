@@ -8,9 +8,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"sdcgmres/internal/core"
 	"sdcgmres/internal/detect"
@@ -227,8 +225,6 @@ type SweepConfig struct {
 	// Stride samples every Stride-th aggregate inner iteration (1 = the
 	// paper's full sweep).
 	Stride int
-	// Workers bounds concurrent experiments (0 = GOMAXPROCS).
-	Workers int
 	// Pool, when non-nil, runs each experiment's solver kernels on a
 	// persistent worker pool. Kernels are bitwise deterministic for any
 	// pool width, so sweep outputs are identical with or without it.
@@ -237,10 +233,11 @@ type SweepConfig struct {
 
 // Sweep injects one SDC at every (strided) aggregate inner iteration of the
 // failure-free schedule and records the outer iteration counts — one series
-// of one subplot of Figure 3 or 4. Cancelling ctx stops the campaign early:
-// workers finish their in-flight experiment and the points not yet run are
-// returned zero-valued (AggregateInner == 0), so partial sweeps are
-// distinguishable from completed ones.
+// of one subplot of Figure 3 or 4. It runs the points one after another: it
+// is the independent reference the campaign engine's parallel, journaled
+// path is checked against. Cancelling ctx stops the sweep early: the points
+// not yet run are returned zero-valued (AggregateInner == 0), so partial
+// sweeps are distinguishable from completed ones.
 func Sweep(ctx context.Context, p *Problem, cfg SweepConfig) []SweepPoint {
 	if ctx == nil {
 		ctx = context.Background()
@@ -249,35 +246,13 @@ func Sweep(ctx context.Context, p *Problem, cfg SweepConfig) []SweepPoint {
 		cfg.Stride = 1
 	}
 	total := p.FailureFreeOuter * p.InnerIters
-	var sites []int
-	for t := 1; t <= total; t += cfg.Stride {
-		sites = append(sites, t)
+	points := make([]SweepPoint, (total+cfg.Stride-1)/cfg.Stride)
+	for i := range points {
+		if ctx.Err() != nil {
+			break
+		}
+		points[i] = RunPoint(ctx, p, cfg, 1+i*cfg.Stride)
 	}
-	points := make([]SweepPoint, len(sites))
-
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(sites) {
-		workers = len(sites)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= len(sites) {
-					return
-				}
-				points[i] = RunPoint(ctx, p, cfg, sites[i])
-			}
-		}()
-	}
-	wg.Wait()
 	return points
 }
 

@@ -339,10 +339,6 @@ func (m *CampaignManager) execute(ctx context.Context, c *managedCampaign) {
 			log.Debug(lctx, "unit executed", "unit", rec.ID,
 				"outcome", rec.Outcome, "elapsed_ms", rec.ElapsedMS)
 		},
-		OnSkip: func(u campaign.Unit) {
-			met.CampaignUnitsSkipped.Inc()
-			log.Debug(lctx, "unit resumed from journal", "unit", u.ID)
-		},
 		Memo: m.cfg.Memo,
 		OnMemo: func(rec campaign.Record) {
 			met.CampaignUnitsMemoized.Inc()
@@ -355,6 +351,7 @@ func (m *CampaignManager) execute(ctx context.Context, c *managedCampaign) {
 		},
 		Recorder: c.trace,
 	})
+	met.CampaignUnitsSkipped.Add(int64(runner.Progress().Skipped))
 	c.mu.Lock()
 	c.runner = runner
 	c.state = CampaignRunning
