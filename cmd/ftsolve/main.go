@@ -20,8 +20,8 @@ import (
 
 	"sdcgmres/internal/core"
 	"sdcgmres/internal/detect"
+	"sdcgmres/internal/gallery"
 	"sdcgmres/internal/krylov"
-	"sdcgmres/internal/sparse"
 	"sdcgmres/internal/vec"
 )
 
@@ -40,12 +40,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	a, err := sparse.ReadMatrixMarketFile(*matPath)
+	a, _, err := gallery.FromMatrixMarketFile(*matPath)
 	if err != nil {
 		fatal(err)
-	}
-	if a.Rows() != a.Cols() {
-		fatal(fmt.Errorf("matrix must be square, got %dx%d", a.Rows(), a.Cols()))
 	}
 	var b []float64
 	if *rhsPath != "" {

@@ -150,11 +150,11 @@ func main() {
 	}
 	if needPoisson {
 		poisson = calibrate("Poisson", gallery.Poisson2D(prof.poissonN), prof.innerIters, prof.poissonOuter)
-		sw.register(poissonSpec, poisson)
+		sw.problems.Put(poissonSpec.Key(), poisson)
 	}
 	if needCircuit {
 		circuit = calibrate("circuit", gallery.CircuitDCOP(gallery.DefaultCircuitDCOPConfig(prof.circuitN)), prof.innerIters, prof.circuitOuter)
-		sw.register(circuitSpec, circuit)
+		sw.problems.Put(circuitSpec.Key(), circuit)
 	}
 
 	var summaries []expt.Summary
@@ -346,9 +346,12 @@ func runMonteCarlo(prof profile, outdir string, p *expt.Problem, workers int) {
 // shared per-profile journal, so every finished experiment survives an
 // interrupt and is skipped on -resume.
 type sweeper struct {
-	journal       *campaign.Journal
-	have          map[string]campaign.Record
-	problems      map[string]*expt.Problem
+	journal *campaign.Journal
+	have    map[string]campaign.Record
+	// problems holds the run's calibrated problems, under the labels the
+	// CSVs carry; local sweeps and in-process fleet workers compile
+	// through it, so neither recalibrates.
+	problems      *campaign.Problems
 	stride        int
 	workers       int
 	kernelWorkers int
@@ -397,21 +400,11 @@ func openSweeper(outdir string, prof profile, resume bool, workers, kernelWorker
 	return &sweeper{
 		journal:       j,
 		have:          have,
-		problems:      map[string]*expt.Problem{},
+		problems:      campaign.NewProblems(),
 		stride:        prof.stride,
 		workers:       workers,
 		kernelWorkers: kernelWorkers,
 		resumeCmd:     resumeCmd,
-	}
-}
-
-// register hands the sweeper an already calibrated problem, so campaign
-// compilation reuses it instead of re-running the probe solve. In fleet
-// mode the in-process workers' calibration cache is seeded too.
-func (s *sweeper) register(spec campaign.ProblemSpec, p *expt.Problem) {
-	s.problems[spec.Key()] = p
-	if s.fleet != nil {
-		s.fleet.cache.Put(spec.Key(), p)
 	}
 }
 
@@ -424,12 +417,12 @@ type fleetOptions struct {
 }
 
 // fleetRuntime is the live distributed coordinator: the lease-protocol host
-// on a listener, plus any in-process workers sharing one calibration cache.
+// on a listener, plus any in-process workers, which compile through the
+// sweeper's calibration cache.
 type fleetRuntime struct {
 	host     *dist.Host
 	srv      *http.Server
 	url      string
-	cache    *dist.ProblemCache
 	leaseTTL time.Duration
 	batch    int
 	cancel   context.CancelFunc
@@ -448,7 +441,6 @@ func (s *sweeper) startFleet(opts fleetOptions) {
 	f := &fleetRuntime{
 		host:     dist.NewHost(nil, nil),
 		url:      "http://" + ln.Addr().String(),
-		cache:    dist.NewProblemCache(),
 		leaseTTL: opts.leaseTTL,
 		batch:    opts.batch,
 	}
@@ -463,7 +455,7 @@ func (s *sweeper) startFleet(opts fleetOptions) {
 		w := dist.NewWorker(dist.WorkerConfig{
 			Coordinator: f.url,
 			Name:        fmt.Sprintf("local-%d", i),
-			Problems:    f.cache,
+			Problems:    s.problems,
 			Poll:        100 * time.Millisecond,
 		})
 		f.workers.Add(1)
@@ -512,7 +504,7 @@ func (s *sweeper) sweep(ctx context.Context, name string, spec campaign.ProblemS
 		Detectors: []campaign.DetectorSpec{det},
 		Stride:    s.stride,
 	}
-	c, err := campaign.CompileWith(man, s.problems)
+	c, err := s.problems.Compile(man)
 	if err != nil {
 		fatal(err)
 	}

@@ -31,7 +31,6 @@ import (
 
 	"sdcgmres/internal/campaign"
 	"sdcgmres/internal/core"
-	"sdcgmres/internal/detect"
 	"sdcgmres/internal/expt"
 	"sdcgmres/internal/fault"
 	"sdcgmres/internal/gallery"
@@ -76,11 +75,11 @@ func main() {
 	var hooks []krylov.CoeffHook
 	var inj *fault.Injector
 	if *faultClass != "" {
-		model, err := parseModel(*faultClass)
+		model, err := fault.ParseModel(*faultClass)
 		if err != nil {
 			fatal(err)
 		}
-		step, err := parseStep(*faultStep)
+		step, err := fault.ParseStepSelector(*faultStep)
 		if err != nil {
 			fatal(err)
 		}
@@ -94,21 +93,10 @@ func main() {
 		Inner:    core.InnerConfig{Iterations: *inner, Hooks: hooks},
 	}
 	if *detector {
-		kind := detect.FrobeniusBound
-		if *bound == "spectral" {
-			kind = detect.SpectralBound
+		var err error
+		if cfg.Detector, err = core.ParseDetector(*bound, *response); err != nil {
+			fatal(err)
 		}
-		resp := core.ResponseWarn
-		switch *response {
-		case "halt":
-			resp = core.ResponseHaltInner
-		case "restart":
-			resp = core.ResponseRestartInner
-		case "warn":
-		default:
-			fatal(fmt.Errorf("unknown response %q", *response))
-		}
-		cfg.Detector = core.DetectorConfig{Enabled: true, Kind: kind, Response: resp}
 	}
 
 	if *workers > 1 {
@@ -261,6 +249,9 @@ func runCampaign(manifestPath, journalPath string, jsonOut bool, kernelWorkers i
 	expt.WriteSummaries(os.Stdout, sums)
 }
 
+// buildMatrix loads a Matrix Market file or builds a generator through
+// the gallery's spec, which rejects what the service and campaign
+// manifests reject.
 func buildMatrix(gen, file string, n int) (*sparse.CSR, string) {
 	if file != "" {
 		m, name, err := gallery.FromMatrixMarketFile(file)
@@ -269,24 +260,16 @@ func buildMatrix(gen, file string, n int) (*sparse.CSR, string) {
 		}
 		return m, name
 	}
-	switch gen {
-	case "poisson":
-		return gallery.Poisson2D(n), fmt.Sprintf("poisson-%dx%d", n, n)
-	case "circuit":
-		return gallery.CircuitDCOP(gallery.DefaultCircuitDCOPConfig(n)), fmt.Sprintf("circuit-dcop-%d", n)
-	case "convdiff":
-		return gallery.ConvectionDiffusion2D(n, 10, -5), fmt.Sprintf("convdiff-%dx%d", n, n)
-	default:
-		fatal(fmt.Errorf("unknown generator %q", gen))
-		return nil, ""
+	spec := gallery.Spec{Kind: gen, N: n}
+	if err := spec.Validate(); err != nil {
+		fatal(err)
 	}
+	a, err := spec.Build()
+	if err != nil {
+		fatal(err)
+	}
+	return a, spec.Name()
 }
-
-// parseModel and parseStep delegate to the service package so the CLI and
-// the solver service accept identical fault spellings.
-func parseModel(spec string) (fault.Model, error) { return service.ParseFaultModel(spec) }
-
-func parseStep(s string) (fault.StepSelector, error) { return service.ParseStep(s) }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "sdcrun:", err)

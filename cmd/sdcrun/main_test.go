@@ -20,7 +20,7 @@ func TestParseModel(t *testing.T) {
 		{"scale:0.5", "scale(×0.5)"},
 	}
 	for _, c := range cases {
-		m, err := parseModel(c.spec)
+		m, err := fault.ParseModel(c.spec)
 		if err != nil {
 			t.Fatalf("%s: %v", c.spec, err)
 		}
@@ -32,21 +32,21 @@ func TestParseModel(t *testing.T) {
 
 func TestParseModelErrors(t *testing.T) {
 	for _, spec := range []string{"", "huge", "bitflip:64", "bitflip:x", "set:abc", "scale:"} {
-		if _, err := parseModel(spec); err == nil {
+		if _, err := fault.ParseModel(spec); err == nil {
 			t.Fatalf("%q should fail", spec)
 		}
 	}
 }
 
 func TestParseModelSemantics(t *testing.T) {
-	m, err := parseModel("set:nan")
+	m, err := fault.ParseModel("set:nan")
 	if err != nil {
 		t.Fatalf("set:nan should parse (strconv accepts NaN): %v", err)
 	}
 	if !math.IsNaN(m.Corrupt(5)) {
 		t.Fatal("set:nan should corrupt to NaN")
 	}
-	s, _ := parseModel("scale:2")
+	s, _ := fault.ParseModel("scale:2")
 	if s.Corrupt(3) != 6 {
 		t.Fatal("scale:2 semantics")
 	}
@@ -58,12 +58,12 @@ func TestParseStep(t *testing.T) {
 		"last":  fault.LastMGS,
 		"norm":  fault.NormStep,
 	} {
-		got, err := parseStep(spec)
+		got, err := fault.ParseStepSelector(spec)
 		if err != nil || got != want {
 			t.Fatalf("%s -> %v, %v", spec, got, err)
 		}
 	}
-	if _, err := parseStep("middle"); err == nil {
+	if _, err := fault.ParseStepSelector("middle"); err == nil {
 		t.Fatal("bad step should fail")
 	}
 }

@@ -274,7 +274,7 @@ func TestCoordinatorWiring(t *testing.T) {
 		Steps:    []string{"first"},
 		Stride:   3,
 	}
-	cache := dist.NewProblemCache()
+	cache := campaign.NewProblems()
 	compiled, err := cache.Compile(man)
 	if err != nil {
 		t.Fatal(err)

@@ -6,17 +6,23 @@
 //
 // A declarative Manifest (problems × fault models × MGS steps × detector
 // policies) compiles into a deterministic list of work units with stable
-// content-derived IDs. One executor runs them: a Coordinator that leases
-// units to workers, checks every record they return, as the paper's
-// reliable host checks its unreliable guest, and appends it to an
-// append-only JSONL journal. Runner drains it with in-process goroutines,
-// each running one unit at a time under the sandbox reliability model with
-// a per-unit deadline; internal/dist serves the same coordinator to remote
-// workers. A restarted campaign reloads the journal and skips finished
-// units, so a crash or SIGINT loses at most the in-flight experiments. An aggregator folds the
-// journal back into the exact artifacts the in-memory expt path produces —
-// byte-identical CSVs and summary tables — because both paths run
-// expt.RunPoint on the same sites and render through the same writers.
+// content-derived IDs. Its problems are built, validated and named as
+// gallery.Spec operators and its detector names are parsed by
+// core.ParseDetector, so a manifest obeys the same caps and names as a
+// solver-service job spec. Problems is the one calibration cache:
+// compiling many manifests through it calibrates each problem once.
+//
+// One executor runs the units: a Coordinator that leases units to
+// workers, checks every record they return, as the paper's reliable host
+// checks its unreliable guest, and appends it to an append-only JSONL
+// journal. Runner drains it with in-process goroutines, each running one
+// unit at a time under the sandbox reliability model with a per-unit
+// deadline; internal/dist serves the same coordinator to remote workers. A
+// restarted campaign reloads the journal and skips finished units, so a
+// crash or SIGINT loses at most the in-flight experiments. An aggregator
+// folds the journal back into the exact artifacts the in-memory expt path
+// produces — byte-identical CSVs and summary tables — because both paths
+// run expt.RunPoint on the same sites and render through the same writers.
 package campaign
 
 import (
@@ -27,16 +33,13 @@ import (
 	"strings"
 
 	"sdcgmres/internal/core"
-	"sdcgmres/internal/detect"
 	"sdcgmres/internal/fault"
+	"sdcgmres/internal/gallery"
 )
 
-// Resource ceilings for untrusted manifests, mirroring the service caps.
+// Resource ceilings for untrusted manifests, beside the matrix caps of
+// gallery.Spec.
 const (
-	// MaxGridN caps the Poisson grid side (n² rows).
-	MaxGridN = 512
-	// MaxCircuitN caps the circuit surrogate dimension.
-	MaxCircuitN = 60000
 	// MaxInnerIters caps inner iterations per outer iteration.
 	MaxInnerIters = 500
 	// MaxTargetOuter caps the calibrated failure-free outer count.
@@ -60,6 +63,9 @@ type ProblemSpec struct {
 	TargetOuter int `json:"target_outer"`
 }
 
+// matrix is the gallery spec of the problem's operator.
+func (p ProblemSpec) matrix() gallery.Spec { return gallery.Spec{Kind: p.Kind, N: p.N} }
+
 // Key is the problem's canonical identity inside unit IDs and journals.
 func (p ProblemSpec) Key() string {
 	return fmt.Sprintf("%s/%d/%d/%d", p.Kind, p.N, p.InnerIters, p.TargetOuter)
@@ -69,12 +75,7 @@ func (p ProblemSpec) Key() string {
 // exactly what Compile's calibration produces (expt.Problem.Name) — so
 // consumers holding only a problem key (the results store) can render the
 // same labels the engine aggregator does.
-func (p ProblemSpec) DisplayName() string {
-	if p.Kind == "circuit" {
-		return fmt.Sprintf("circuit-dcop-%d", p.N)
-	}
-	return fmt.Sprintf("%s-%dx%d", p.Kind, p.N, p.N)
-}
+func (p ProblemSpec) DisplayName() string { return p.matrix().Name() }
 
 // ParseProblemKey inverts ProblemSpec.Key: "poisson/64/25/9" back to the
 // spec. Journaled units carry only the key, so store-side analysis parses
@@ -99,17 +100,11 @@ func ParseProblemKey(key string) (ProblemSpec, error) {
 
 // Validate rejects malformed or resource-abusive problem specs.
 func (p ProblemSpec) Validate() error {
-	switch p.Kind {
-	case "poisson":
-		if p.N < 2 || p.N > MaxGridN {
-			return fmt.Errorf("campaign: poisson n = %d out of range [2, %d]", p.N, MaxGridN)
-		}
-	case "circuit":
-		if p.N < 3 || p.N > MaxCircuitN {
-			return fmt.Errorf("campaign: circuit n = %d out of range [3, %d]", p.N, MaxCircuitN)
-		}
-	default:
+	if p.Kind != "poisson" && p.Kind != "circuit" {
 		return fmt.Errorf("campaign: unknown problem kind %q (want poisson | circuit)", p.Kind)
+	}
+	if err := p.matrix().Validate(); err != nil {
+		return err
 	}
 	if p.InnerIters < 1 || p.InnerIters > MaxInnerIters {
 		return fmt.Errorf("campaign: inner_iters = %d out of range [1, %d]", p.InnerIters, MaxInnerIters)
@@ -169,27 +164,7 @@ func (d DetectorSpec) Config() (core.DetectorConfig, error) {
 	if !d.Enabled {
 		return core.DetectorConfig{}, nil
 	}
-	var kind detect.BoundKind
-	switch d.Bound {
-	case "", "frobenius":
-		kind = detect.FrobeniusBound
-	case "spectral":
-		kind = detect.SpectralBound
-	default:
-		return core.DetectorConfig{}, fmt.Errorf("campaign: unknown detector bound %q", d.Bound)
-	}
-	var resp core.Response
-	switch d.Response {
-	case "", "warn":
-		resp = core.ResponseWarn
-	case "halt":
-		resp = core.ResponseHaltInner
-	case "restart":
-		resp = core.ResponseRestartInner
-	default:
-		return core.DetectorConfig{}, fmt.Errorf("campaign: unknown detector response %q", d.Response)
-	}
-	return core.DetectorConfig{Enabled: true, Kind: kind, Response: resp}, nil
+	return core.ParseDetector(d.Bound, d.Response)
 }
 
 // Manifest declares a campaign: the full cross product of problems × fault

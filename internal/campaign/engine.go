@@ -62,22 +62,14 @@ func (r *Runner) Run(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	workers := min(r.opts.Workers, len(r.co.compiled.Units))
-	perWorker := 0
-	if r.opts.KernelWorkers > 0 && workers > 0 {
-		perWorker = max(1, r.opts.KernelWorkers/workers)
-	}
+	pools := kernel.Split(r.opts.KernelWorkers, min(r.opts.Workers, len(r.co.compiled.Units)))
 	// A journal failure stops the siblings' in-flight units too.
 	abort, cancelAbort := context.WithCancel(ctx)
 	defer cancelAbort()
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		var pool *kernel.Pool
-		if perWorker > 1 {
-			pool = kernel.New(perWorker)
-			defer pool.Close()
-		}
+	wg.Add(len(pools))
+	for w, pool := range pools {
+		defer pool.Close()
 		name := fmt.Sprintf("local-%d", w)
 		go func() {
 			defer wg.Done()

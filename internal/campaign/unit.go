@@ -4,10 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"sync"
 
 	"sdcgmres/internal/expt"
 	"sdcgmres/internal/fault"
-	"sdcgmres/internal/gallery"
 )
 
 // Unit is one experiment of a campaign: a single SDC at one site of one
@@ -70,19 +70,62 @@ type Compiled struct {
 
 // Compile validates the manifest, calibrates every problem (the expensive
 // step: one failure-free probe solve per problem, exactly as the one-shot
-// expt path does) and expands the cross product into units.
-func Compile(m Manifest) (*Compiled, error) {
+// expt path does) and expands the cross product into units. It keeps no
+// calibration; Problems.Compile does.
+func Compile(m Manifest) (*Compiled, error) { return NewProblems().Compile(m) }
+
+// Problems is the calibration cache: calibrated problems by ProblemSpec
+// key, so a process that compiles many manifests over the same problems (a
+// fleet worker serving one campaign generation per figure series, or
+// paperfigs' sweeps) calibrates each problem once. Calibration is
+// deterministic, which is what lets a remote worker reproduce the
+// coordinator's problems from the manifest alone. A cached problem also
+// keeps its nested-solve workspaces (one per unit that ran on it at once),
+// so later units on it reuse that Krylov storage. The cache is unbounded:
+// its memory lives as long as the cache does.
+type Problems struct {
+	mu       sync.Mutex
+	problems map[string]*expt.Problem
+}
+
+// NewProblems returns an empty cache.
+func NewProblems() *Problems {
+	return &Problems{problems: make(map[string]*expt.Problem)}
+}
+
+// Put seeds the cache with a problem calibrated elsewhere, under its
+// ProblemSpec key.
+func (pc *Problems) Put(key string, p *expt.Problem) {
+	pc.mu.Lock()
+	pc.problems[key] = p
+	pc.mu.Unlock()
+}
+
+// Compile validates the manifest, calibrates the problems the cache does
+// not hold yet, and compiles the manifest into the unit grid.
+// Content-derived unit IDs guarantee the result matches what every other
+// process compiles from the same manifest.
+func (pc *Problems) Compile(m Manifest) (*Compiled, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	m = m.withDefaults()
 	problems := make(map[string]*expt.Problem, len(m.Problems))
 	for _, ps := range m.Problems {
-		p, err := calibrate(ps)
-		if err != nil {
-			return nil, err
+		key := ps.Key()
+		pc.mu.Lock()
+		p := pc.problems[key]
+		pc.mu.Unlock()
+		if p == nil {
+			a, err := ps.matrix().Build()
+			if err != nil {
+				return nil, err
+			}
+			if p, err = expt.Calibrate(ps.DisplayName(), a, ps.InnerIters, ps.TargetOuter); err != nil {
+				return nil, err
+			}
+			pc.Put(key, p)
 		}
-		problems[ps.Key()] = p
+		problems[key] = p
 	}
 	return CompileWith(m, problems)
 }
@@ -136,26 +179,6 @@ func CompileWith(m Manifest, problems map[string]*expt.Problem) (*Compiled, erro
 		}
 	}
 	return c, nil
-}
-
-// CalibrateProblem builds and calibrates one problem spec: the expensive
-// compile step (one failure-free probe solve), exposed so distributed
-// workers can calibrate manifests fetched from a coordinator and cache the
-// results across campaigns.
-func CalibrateProblem(ps ProblemSpec) (*expt.Problem, error) {
-	return calibrate(ps)
-}
-
-// calibrate builds and calibrates one problem spec.
-func calibrate(ps ProblemSpec) (*expt.Problem, error) {
-	switch ps.Kind {
-	case "poisson":
-		return expt.Calibrate(fmt.Sprintf("poisson-%dx%d", ps.N, ps.N), gallery.Poisson2D(ps.N), ps.InnerIters, ps.TargetOuter)
-	case "circuit":
-		return expt.Calibrate(fmt.Sprintf("circuit-dcop-%d", ps.N),
-			gallery.CircuitDCOP(gallery.DefaultCircuitDCOPConfig(ps.N)), ps.InnerIters, ps.TargetOuter)
-	}
-	return nil, fmt.Errorf("campaign: unknown problem kind %q", ps.Kind)
 }
 
 // SweepConfig reconstructs the expt configuration for one unit, so the

@@ -113,6 +113,33 @@ type DetectorConfig struct {
 	MaxRestartsPerInner int
 }
 
+// ParseDetector returns the enabled detector configuration that a bound
+// name ("frobenius", the default, or "spectral") and a response name
+// ("warn", the default, "halt" or "restart") select. It is the one parser
+// of detector names for job specs, campaign manifests and the CLIs.
+func ParseDetector(bound, response string) (DetectorConfig, error) {
+	cfg := DetectorConfig{Enabled: true}
+	switch bound {
+	case "", "frobenius":
+		cfg.Kind = detect.FrobeniusBound
+	case "spectral":
+		cfg.Kind = detect.SpectralBound
+	default:
+		return DetectorConfig{}, fmt.Errorf("core: unknown detector bound %q", bound)
+	}
+	switch response {
+	case "", "warn":
+		cfg.Response = ResponseWarn
+	case "halt":
+		cfg.Response = ResponseHaltInner
+	case "restart":
+		cfg.Response = ResponseRestartInner
+	default:
+		return DetectorConfig{}, fmt.Errorf("core: unknown detector response %q", response)
+	}
+	return cfg, nil
+}
+
 // OuterMethod selects the reliable outer iteration.
 type OuterMethod int
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -744,4 +745,29 @@ func TestConcurrentSolvesOnOneSolver(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestParseDetector covers every bound and response name, the defaults of
+// empty names, and the rejection of unknown ones.
+func TestParseDetector(t *testing.T) {
+	bounds := map[string]detect.BoundKind{"": detect.FrobeniusBound, "frobenius": detect.FrobeniusBound, "spectral": detect.SpectralBound}
+	responses := map[string]Response{"": ResponseWarn, "warn": ResponseWarn, "halt": ResponseHaltInner, "restart": ResponseRestartInner}
+	for b, kind := range bounds {
+		for r, resp := range responses {
+			got, err := ParseDetector(b, r)
+			if want := (DetectorConfig{Enabled: true, Kind: kind, Response: resp}); err != nil || got != want {
+				t.Fatalf("ParseDetector(%q, %q) = %+v, %v; want %+v", b, r, got, err, want)
+			}
+		}
+	}
+	for _, c := range []struct{ bound, response, want string }{
+		{"bogus", "warn", "bound"},
+		{"Frobenius", "", "bound"},
+		{"frobenius", "reboot", "response"},
+		{"", "Restart", "response"},
+	} {
+		if got, err := ParseDetector(c.bound, c.response); err == nil || !strings.Contains(err.Error(), c.want) || got.Enabled {
+			t.Fatalf("ParseDetector(%q, %q) = %+v, %v; want a %s error", c.bound, c.response, got, err, c.want)
+		}
+	}
 }

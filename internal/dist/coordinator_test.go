@@ -26,7 +26,7 @@ var (
 	compileOnce sync.Once
 	compiled    *campaign.Compiled
 	compileErr  error
-	sharedCache = NewProblemCache()
+	sharedCache = campaign.NewProblems()
 )
 
 // compileTest compiles the shared test campaign once per test binary;

@@ -14,11 +14,12 @@
 //     batches; a lease stays valid only while its worker heartbeats, and an
 //     expired lease's units are requeued for other workers — dead-worker
 //     detection by missed heartbeats.
-//   - Workers fetch the campaign manifest, compile it locally (unit IDs
-//     are content-derived, so every process compiles the identical unit
-//     list; problem calibration is deterministic, so remotely measured
-//     points equal locally measured ones), execute leased units under the
-//     sandbox, and report records back.
+//   - Workers fetch the campaign manifest, compile it locally through a
+//     campaign.Problems calibration cache (unit IDs are content-derived,
+//     so every process compiles the identical unit list; problem
+//     calibration is deterministic, so remotely measured points equal
+//     locally measured ones), execute leased units under the sandbox, and
+//     report records back.
 //   - The coordinator trusts nothing: a returned record must belong to the
 //     campaign, its unit fields must hash to its claimed ID
 //     (campaign.Unit.VerifyID), and its point must target the unit's site.
@@ -75,6 +76,13 @@ var (
 // CoordinatorConfig parameterizes the coordinator behind each campaign a
 // Host serves.
 type CoordinatorConfig = campaign.CoordinatorConfig
+
+// ProblemCache is campaign.Problems, kept under this name only because the
+// benchmark names it.
+type ProblemCache = campaign.Problems
+
+// NewProblemCache is campaign.NewProblems.
+func NewProblemCache() *ProblemCache { return campaign.NewProblems() }
 
 // CampaignInfo is what workers poll to discover work.
 type CampaignInfo struct {

@@ -14,60 +14,10 @@ import (
 	"time"
 
 	"sdcgmres/internal/campaign"
-	"sdcgmres/internal/expt"
 	"sdcgmres/internal/kernel"
 	"sdcgmres/internal/obs"
 	"sdcgmres/internal/trace"
 )
-
-// ProblemCache memoizes calibrated problems by ProblemSpec key, so a worker
-// serving many campaign generations (a full paperfigs run hosts one per
-// figure series) calibrates each problem once. Calibration is
-// deterministic, which is what lets a remote worker reproduce the
-// coordinator's problems from the manifest alone. A cached problem also
-// keeps its nested-solve workspaces (one per unit that ran on it at once),
-// so the worker's later units on it reuse that Krylov storage; the memory
-// lives as long as the cache holds the problem.
-type ProblemCache struct {
-	mu       sync.Mutex
-	problems map[string]*expt.Problem
-}
-
-// NewProblemCache returns an empty cache.
-func NewProblemCache() *ProblemCache {
-	return &ProblemCache{problems: make(map[string]*expt.Problem)}
-}
-
-// Put seeds the cache — e.g. with problems the embedding process already
-// calibrated, so in-process fleet workers skip recalibration entirely.
-func (pc *ProblemCache) Put(key string, p *expt.Problem) {
-	pc.mu.Lock()
-	pc.problems[key] = p
-	pc.mu.Unlock()
-}
-
-// Compile calibrates the manifest's problems (through the cache) and
-// compiles it into the unit grid. Content-derived unit IDs guarantee the
-// result matches what the coordinator compiled from the same manifest.
-func (pc *ProblemCache) Compile(m campaign.Manifest) (*campaign.Compiled, error) {
-	problems := make(map[string]*expt.Problem, len(m.Problems))
-	for _, ps := range m.Problems {
-		key := ps.Key()
-		pc.mu.Lock()
-		p := pc.problems[key]
-		pc.mu.Unlock()
-		if p == nil {
-			var err error
-			p, err = campaign.CalibrateProblem(ps)
-			if err != nil {
-				return nil, err
-			}
-			pc.Put(key, p)
-		}
-		problems[key] = p
-	}
-	return campaign.CompileWith(m, problems)
-}
 
 // WorkerConfig parameterizes a Worker.
 type WorkerConfig struct {
@@ -93,7 +43,7 @@ type WorkerConfig struct {
 	// that's ~20s of coordinator outage).
 	MaxRetries int
 	// Problems is the calibration cache (default: a fresh one).
-	Problems *ProblemCache
+	Problems *campaign.Problems
 	// Recorder, when non-nil, receives unit-lifecycle trace events for
 	// every unit this worker executes (via campaign.ExecuteUnitPooled).
 	Recorder *trace.Recorder
@@ -126,7 +76,7 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 		c.MaxRetries = 8
 	}
 	if c.Problems == nil {
-		c.Problems = NewProblemCache()
+		c.Problems = campaign.NewProblems()
 	}
 	c.Backoff = c.Backoff.withDefaults()
 	return c
@@ -196,19 +146,9 @@ func (w *Worker) Stats() WorkerStats {
 // Run serves the coordinator until it closes (nil), the context ends
 // (ctx.Err()), or the coordinator stays unreachable past the retry budget.
 func (w *Worker) Run(ctx context.Context) error {
-	perSlot := 0
-	if w.cfg.KernelWorkers > 0 {
-		perSlot = w.cfg.KernelWorkers / w.cfg.Concurrency
-		if perSlot < 1 {
-			perSlot = 1
-		}
-	}
-	w.pools = make([]*kernel.Pool, w.cfg.Concurrency)
-	if perSlot > 1 {
-		for i := range w.pools {
-			w.pools[i] = kernel.New(perSlot)
-			defer w.pools[i].Close()
-		}
+	w.pools = kernel.Split(w.cfg.KernelWorkers, w.cfg.Concurrency)
+	for _, p := range w.pools {
+		defer p.Close()
 	}
 	for {
 		if err := ctx.Err(); err != nil {

@@ -8,6 +8,13 @@
 // Table I characteristics — ‖A‖₂ ≈ 17.18, huge condition number ≈ 7.3e13,
 // modest Frobenius norm and ~7.7 nonzeros per row. See DESIGN.md for the
 // substitution rationale.
+//
+// Spec is the problem vocabulary every other surface uses: a generator
+// name and size, or an inline Matrix Market payload, with the one
+// Validate (resource caps plus each generator's own preconditions), the
+// canonical Key, the report Name and Build. Solver-service job specs,
+// campaign manifests and the CLIs all go through it, so they accept
+// exactly the same problems.
 package gallery
 
 import (

@@ -281,3 +281,26 @@ func TestStatsCount(t *testing.T) {
 		t.Fatalf("Add with nil-pool stats changed the total: %+v != %+v", total, s)
 	}
 }
+
+// TestSplit: splitting a kernel budget among slots gives every slot a nil
+// (sequential) pool at budget 0 and whenever budget < 2·slots, and pooled
+// slots together never take more than the budget.
+func TestSplit(t *testing.T) {
+	for budget := -1; budget <= 9; budget++ {
+		for slots := 0; slots <= 5; slots++ {
+			pools := kernel.Split(budget, slots)
+			if len(pools) != slots {
+				t.Fatalf("Split(%d, %d): %d pools", budget, slots, len(pools))
+			}
+			for _, p := range pools {
+				if sequential := budget < 2*slots; (p == nil) != sequential {
+					t.Fatalf("Split(%d, %d): pool %v, want nil = %v", budget, slots, p, sequential)
+				}
+				if p != nil && (p.Workers() != budget/slots || slots*p.Workers() > budget) {
+					t.Fatalf("Split(%d, %d): %d slots of width %d", budget, slots, slots, p.Workers())
+				}
+				p.Close()
+			}
+		}
+	}
+}

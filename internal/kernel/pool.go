@@ -115,6 +115,21 @@ func New(workers int) *Pool {
 	return &Pool{st: st}
 }
 
+// Split divides a kernel budget among slots that run at once: each slot
+// gets a pool of max(1, budget/slots) workers, nil (sequential kernels)
+// when that width is 1, so slots × width never exceeds the budget of a
+// pooled split. A budget <= 0 means sequential kernels in every slot. The
+// caller closes the pools.
+func Split(budget, slots int) []*Pool {
+	pools := make([]*Pool, slots)
+	if slots > 0 && budget/slots > 1 {
+		for i := range pools {
+			pools[i] = New(budget / slots)
+		}
+	}
+	return pools
+}
+
 // Close stops the helper goroutines; kernels invoked after (or racing)
 // Close run sequentially on the caller and still return the same bits.
 // In-flight dispatches finish: parts already claimed by a helper complete

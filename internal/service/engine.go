@@ -238,19 +238,7 @@ func (e *Engine) Start() {
 	if !e.started.CompareAndSwap(false, true) {
 		return
 	}
-	perWorker := 0
-	if e.cfg.KernelWorkers > 0 {
-		perWorker = e.cfg.KernelWorkers / e.cfg.Workers
-		if perWorker < 1 {
-			perWorker = 1
-		}
-	}
-	e.pools = make([]*kernel.Pool, e.cfg.Workers)
-	if perWorker > 1 {
-		for i := range e.pools {
-			e.pools[i] = kernel.New(perWorker)
-		}
-	}
+	e.pools = kernel.Split(e.cfg.KernelWorkers, e.cfg.Workers)
 	e.wg.Add(e.cfg.Workers)
 	for i := 0; i < e.cfg.Workers; i++ {
 		go e.worker(e.pools[i])

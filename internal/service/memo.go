@@ -25,7 +25,7 @@ import (
 // it computes.
 func SpecDigest(spec *JobSpec) string {
 	h := sha256.New()
-	io.WriteString(h, "v1|"+matrixKey(spec.Matrix))
+	io.WriteString(h, "v1|"+spec.Matrix.Key())
 	s := spec.Solver
 	ortho := s.Ortho
 	if ortho == "" {
@@ -54,11 +54,7 @@ func SpecDigest(spec *JobSpec) string {
 		defaultInt(s.InnerIters, 25), defaultInt(s.MaxOuter, 60), defaultFloat(s.Tol, 1e-8),
 		ortho, policy, s.Detector, bound, resp, pre, s.RobustFirstSolve)
 	if f := spec.Fault; f != nil {
-		step := f.Step
-		if step == "" {
-			step = "first"
-		}
-		fmt.Fprintf(h, "fault=%s|at=%d|%s", f.Class, f.At, step)
+		fmt.Fprintf(h, "fault=%s|at=%d|%s", f.Class, f.At, f.StepName())
 	} else {
 		io.WriteString(h, "fault=-")
 	}

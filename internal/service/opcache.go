@@ -15,7 +15,7 @@ import (
 const maxOperatorBytes = 64 << 20
 
 // opCache is the engine's byte-bounded LRU of built operators, keyed by
-// matrixKey. Jobs solve on the cached *sparse.CSR, which every solver
+// MatrixSpec.Key. Jobs solve on the cached *sparse.CSR, which every solver
 // only reads; b = A·1, fault hooks, preconditioners and detectors stay
 // per job.
 //
@@ -52,7 +52,7 @@ func operatorBytes(a *sparse.CSR) int64 {
 // matrix returns the operator and problem name for a validated spec,
 // building and storing the operator on a miss.
 func (c *opCache) matrix(m MatrixSpec) (*sparse.CSR, string, error) {
-	key := matrixKey(m)
+	key := m.Key()
 	c.mu.Lock()
 	el, ok := c.entries[key]
 	if ok {
@@ -65,12 +65,12 @@ func (c *opCache) matrix(m MatrixSpec) (*sparse.CSR, string, error) {
 		return op.a, op.name, nil
 	}
 	c.builds.Inc()
-	a, name, err := BuildMatrix(m)
+	a, err := m.Build()
 	if err != nil {
 		return nil, "", err
 	}
-	c.add(&operator{key: key, a: a, name: name})
-	return a, name, nil
+	c.add(&operator{key: key, a: a, name: m.Name()})
+	return a, m.Name(), nil
 }
 
 // add stores op unless it exceeds the budget or a concurrent build of the

@@ -141,7 +141,7 @@ func TestOperatorCacheConcurrentJobs(t *testing.T) {
 // and a failed build stores nothing.
 func TestOperatorCacheBound(t *testing.T) {
 	size := func(n int) int64 {
-		a, _, err := BuildMatrix(MatrixSpec{Kind: "poisson", N: n})
+		a, err := MatrixSpec{Kind: "poisson", N: n}.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,20 +188,22 @@ func TestOperatorCacheBound(t *testing.T) {
 	}
 }
 
-// TestOperatorCachePanickingBuild runs a job whose matrix build panics:
-// the sandbox fails the job, nothing is cached, and the engine goes on.
+// TestOperatorCachePanickingBuild hands the engine's operator cache a spec
+// whose build panics: nothing is cached, and the engine goes on. Validate
+// rejects circuit n = 2 at submit, so the spec goes to the cache directly.
 func TestOperatorCachePanickingBuild(t *testing.T) {
 	e := NewEngine(Config{Workers: 1})
 	e.Start()
 	defer e.Shutdown(context.Background())
 
-	v, err := e.Submit(CircuitJob(2)) // valid spec; the generator rejects n = 2
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	if v = waitTerminal(t, e, v.ID, 10*time.Second); v.State != StateFailed {
-		t.Fatalf("panicking build ended %s, want failed", v.State)
-	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("circuit n = 2 built without a panic")
+			}
+		}()
+		e.ops.matrix(MatrixSpec{Kind: "circuit", N: 2}) // the generator rejects n = 2
+	}()
 	if n := cachedOps(e); n != 0 {
 		t.Fatalf("%d operators cached after a panicking build", n)
 	}

@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"sdcgmres/internal/core"
 	"sdcgmres/internal/detect"
 	"sdcgmres/internal/fault"
-	"sdcgmres/internal/gallery"
 	"sdcgmres/internal/kernel"
 	"sdcgmres/internal/krylov"
 	"sdcgmres/internal/precond"
@@ -92,29 +90,6 @@ func forwardError(x []float64) float64 {
 	return worst
 }
 
-// BuildMatrix materializes a validated MatrixSpec.
-func BuildMatrix(m MatrixSpec) (*sparse.CSR, string, error) {
-	switch m.Kind {
-	case "poisson":
-		return gallery.Poisson2D(m.N), fmt.Sprintf("poisson-%dx%d", m.N, m.N), nil
-	case "circuit":
-		return gallery.CircuitDCOP(gallery.DefaultCircuitDCOPConfig(m.N)), fmt.Sprintf("circuit-dcop-%d", m.N), nil
-	case "convdiff":
-		cx, cy := m.convection()
-		return gallery.ConvectionDiffusion2D(m.N, cx, cy), fmt.Sprintf("convdiff-%dx%d", m.N, m.N), nil
-	case "mm":
-		a, err := sparse.ReadMatrixMarket(strings.NewReader(m.MM))
-		if err != nil {
-			return nil, "", fmt.Errorf("service: bad matrix market payload: %w", err)
-		}
-		if a.Rows() != a.Cols() {
-			return nil, "", fmt.Errorf("service: matrix must be square, got %dx%d", a.Rows(), a.Cols())
-		}
-		return a, "mm", nil
-	}
-	return nil, "", fmt.Errorf("service: unknown matrix kind %q", m.Kind)
-}
-
 // RunSpec builds the system, solves it under the job's context, and
 // reports the canonical record. The caller (the worker pool) provides
 // panic isolation and the wall-clock budget via the sandbox, so RunSpec
@@ -131,11 +106,11 @@ func RunSpec(ctx context.Context, spec *JobSpec, tr *trace.Recorder, pool *kerne
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	a, name, err := BuildMatrix(spec.Matrix)
+	a, err := spec.Matrix.Build()
 	if err != nil {
 		return nil, err
 	}
-	return solveSpec(ctx, spec, a, name, tr, pool)
+	return solveSpec(ctx, spec, a, spec.Matrix.Name(), tr, pool)
 }
 
 // runCached is the engine's default Runner: RunSpec with the operator
@@ -160,12 +135,8 @@ func solveSpec(ctx context.Context, spec *JobSpec, a *sparse.CSR, name string, t
 	var hooks []krylov.CoeffHook
 	var inj *fault.Injector
 	if spec.Fault != nil {
-		model, _ := ParseFaultModel(spec.Fault.Class)
-		stepName := spec.Fault.Step
-		if stepName == "" {
-			stepName = "first"
-		}
-		step, _ := ParseStep(stepName)
+		model, _ := fault.ParseModel(spec.Fault.Class)
+		step, _ := fault.ParseStepSelector(spec.Fault.StepName())
 		inj = fault.NewInjector(model, fault.Site{AggregateInner: spec.Fault.At, Step: step})
 		inj.SetRecorder(tr)
 		hooks = append(hooks, inj)
@@ -244,15 +215,9 @@ func coreConfig(spec *JobSpec, a *sparse.CSR, hooks []krylov.CoeffHook) (core.Co
 		cfg.Inner.Precond = m
 	}
 	if s.Detector {
-		kind, err := parseBound(s.Bound)
-		if err != nil {
+		if cfg.Detector, err = core.ParseDetector(s.Bound, s.Response); err != nil {
 			return core.Config{}, err
 		}
-		resp, err := parseResponse(s.Response)
-		if err != nil {
-			return core.Config{}, err
-		}
-		cfg.Detector = core.DetectorConfig{Enabled: true, Kind: kind, Response: resp}
 	}
 	return cfg, nil
 }
@@ -263,11 +228,11 @@ func runGMRES(ctx context.Context, spec *JobSpec, a *sparse.CSR, name string, b 
 	policy, _ := parsePolicy(s.Policy)
 	var det *detect.Detector
 	if s.Detector {
-		kind, err := parseBound(s.Bound)
+		dc, err := core.ParseDetector(s.Bound, s.Response)
 		if err != nil {
 			return nil, err
 		}
-		det = detect.NewDetector(a, kind)
+		det = detect.NewDetector(a, dc.Kind)
 		hooks = append(hooks, detect.Traced(det, tr))
 	}
 	opts := krylov.Options{
@@ -326,28 +291,6 @@ func runCG(ctx context.Context, spec *JobSpec, a *sparse.CSR, name string, b []f
 		ForwardError:    forwardError(res.X),
 		ResidualHistory: res.ResidualHistory,
 	}, nil
-}
-
-func parseBound(s string) (detect.BoundKind, error) {
-	switch s {
-	case "", "frobenius":
-		return detect.FrobeniusBound, nil
-	case "spectral":
-		return detect.SpectralBound, nil
-	}
-	return 0, fmt.Errorf("service: unknown detector bound %q", s)
-}
-
-func parseResponse(s string) (core.Response, error) {
-	switch s {
-	case "", "warn":
-		return core.ResponseWarn, nil
-	case "halt":
-		return core.ResponseHaltInner, nil
-	case "restart":
-		return core.ResponseRestartInner, nil
-	}
-	return 0, fmt.Errorf("service: unknown detector response %q", s)
 }
 
 // parsePrecond returns a preconditioner factory (nil for "none").

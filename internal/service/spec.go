@@ -14,76 +14,32 @@
 package service
 
 import (
-	"crypto/sha256"
 	"fmt"
-	"strings"
 	"time"
 
+	"sdcgmres/internal/core"
 	"sdcgmres/internal/fault"
+	"sdcgmres/internal/gallery"
 	"sdcgmres/internal/krylov"
 	"sdcgmres/internal/qos"
-	"sdcgmres/internal/sparse"
 )
 
-// Resource ceilings for untrusted job specs. They bound the memory and
-// assembly cost a single request can demand; the wall-clock cost is bounded
-// separately by the per-job time budget.
+// Resource ceilings for untrusted job specs, beside the matrix caps of
+// gallery.Spec. They bound the iteration storage a single request can
+// demand; the wall-clock cost is bounded separately by the per-job time
+// budget.
 const (
-	// MaxGridN caps the grid side for poisson/convdiff (n² rows).
-	MaxGridN = 512
-	// MaxCircuitN caps the circuit surrogate dimension.
-	MaxCircuitN = 60000
-	// MaxMMBytes caps inline Matrix Market payloads.
-	MaxMMBytes = 8 << 20
 	// MaxOuterCap caps the outer iteration budget of a job.
 	MaxOuterCap = 2000
 	// MaxInnerCap caps the inner iterations per outer iteration.
 	MaxInnerCap = 500
 )
 
-// MatrixSpec selects the linear system's operator. The right-hand side is
-// always b = A·1 (a consistent system with known solution x = 1), which is
-// what makes the service able to report a true forward error for every job.
-type MatrixSpec struct {
-	// Kind is the generator: "poisson", "circuit", "convdiff", or "mm"
-	// for an inline Matrix Market payload.
-	Kind string `json:"kind"`
-	// N is the generator size (grid side for poisson/convdiff, dimension
-	// for circuit). Ignored for "mm".
-	N int `json:"n,omitempty"`
-	// MM is the inline Matrix Market content for Kind "mm".
-	MM string `json:"mm,omitempty"`
-	// CX, CY are the convection coefficients for "convdiff" (defaults
-	// 10, -5 when both zero).
-	CX float64 `json:"cx,omitempty"`
-	CY float64 `json:"cy,omitempty"`
-}
-
-// convection returns the convection field of a "convdiff" spec: CX, CY,
-// or the default (10, -5) when both are zero.
-func (m MatrixSpec) convection() (cx, cy float64) {
-	if m.CX == 0 && m.CY == 0 {
-		return 10, -5
-	}
-	return m.CX, m.CY
-}
-
-// matrixKey is the canonical form of a validated matrix spec: two specs
-// share a key exactly when BuildMatrix makes the same operator from them.
-// Generators key by kind and size (convdiff with its convection field
-// resolved), inline Matrix Market payloads by their sha256. It keys the
-// engine's operator cache and is the matrix part of SpecDigest.
-func matrixKey(m MatrixSpec) string {
-	switch m.Kind {
-	case "mm":
-		sum := sha256.Sum256([]byte(m.MM))
-		return fmt.Sprintf("mm|mm=%x|", sum[:])
-	case "convdiff":
-		cx, cy := m.convection()
-		return fmt.Sprintf("convdiff|n=%d|cx=%g|cy=%g|", m.N, cx, cy)
-	}
-	return fmt.Sprintf("%s|n=%d|", m.Kind, m.N)
-}
+// MatrixSpec selects the linear system's operator; Validate, Key, Name and
+// Build are gallery.Spec's. The right-hand side is always b = A·1 (a
+// consistent system with known solution x = 1), which is what makes the
+// service able to report a true forward error for every job.
+type MatrixSpec = gallery.Spec
 
 // SolverSpec selects the solver and its resilience configuration.
 type SolverSpec struct {
@@ -122,6 +78,15 @@ type FaultSpec struct {
 	At int `json:"at"`
 	// Step is "first" (default), "last", or "norm".
 	Step string `json:"step,omitempty"`
+}
+
+// StepName is the fault's MGS step selector name: Step, or "first" when
+// it is unset.
+func (f FaultSpec) StepName() string {
+	if f.Step == "" {
+		return "first"
+	}
+	return f.Step
 }
 
 // JobSpec is one unit of work: solve one system with one configuration.
@@ -180,36 +145,8 @@ func (s *JobSpec) SolverKind() string {
 
 // Validate rejects malformed or resource-abusive specs before admission.
 func (s *JobSpec) Validate() error {
-	switch s.Matrix.Kind {
-	case "poisson", "convdiff":
-		if s.Matrix.N < 2 || s.Matrix.N > MaxGridN {
-			return fmt.Errorf("service: matrix n = %d out of range [2, %d]", s.Matrix.N, MaxGridN)
-		}
-	case "circuit":
-		if s.Matrix.N < 2 || s.Matrix.N > MaxCircuitN {
-			return fmt.Errorf("service: circuit n = %d out of range [2, %d]", s.Matrix.N, MaxCircuitN)
-		}
-	case "mm":
-		if s.Matrix.MM == "" {
-			return fmt.Errorf("service: matrix kind %q needs inline mm content", s.Matrix.Kind)
-		}
-		if len(s.Matrix.MM) > MaxMMBytes {
-			return fmt.Errorf("service: mm payload %d bytes exceeds cap %d", len(s.Matrix.MM), MaxMMBytes)
-		}
-		// A few bytes can declare a matrix whose assembly alone exhausts
-		// memory, so the declared size gets the generators' largest system
-		// as its cap.
-		rows, cols, err := sparse.ReadMatrixMarketSize(strings.NewReader(s.Matrix.MM))
-		if err != nil {
-			return fmt.Errorf("service: bad matrix market payload: %w", err)
-		}
-		if maxRows := MaxGridN * MaxGridN; rows > maxRows || cols > maxRows {
-			return fmt.Errorf("service: mm matrix %dx%d exceeds cap of %d rows and columns", rows, cols, maxRows)
-		}
-	case "":
-		return fmt.Errorf("service: matrix kind missing (want poisson | circuit | convdiff | mm)")
-	default:
-		return fmt.Errorf("service: unknown matrix kind %q", s.Matrix.Kind)
+	if err := s.Matrix.Validate(); err != nil {
+		return err
 	}
 
 	switch s.SolverKind() {
@@ -239,10 +176,7 @@ func (s *JobSpec) Validate() error {
 	if _, err := parsePolicy(s.Solver.Policy); err != nil {
 		return err
 	}
-	if _, err := parseBound(s.Solver.Bound); err != nil {
-		return err
-	}
-	if _, err := parseResponse(s.Solver.Response); err != nil {
+	if _, err := core.ParseDetector(s.Solver.Bound, s.Solver.Response); err != nil {
 		return err
 	}
 	if _, err := parsePrecond(s.Solver.Precond); err != nil {
@@ -262,14 +196,10 @@ func (s *JobSpec) Validate() error {
 	}
 
 	if s.Fault != nil {
-		if _, err := ParseFaultModel(s.Fault.Class); err != nil {
+		if _, err := fault.ParseModel(s.Fault.Class); err != nil {
 			return err
 		}
-		step := s.Fault.Step
-		if step == "" {
-			step = "first"
-		}
-		if _, err := ParseStep(step); err != nil {
+		if _, err := fault.ParseStepSelector(s.Fault.StepName()); err != nil {
 			return err
 		}
 		if s.Fault.At < 1 {
@@ -279,7 +209,7 @@ func (s *JobSpec) Validate() error {
 	return nil
 }
 
-// ---- Spec builders (re-exported through the sdcgmres facade) ----
+// ---- Spec builders ----
 
 // defaultSolver is the service's recommended resilient configuration:
 // FT-GMRES with the detector armed and the restart-inner response, so a
@@ -314,20 +244,7 @@ func MatrixMarketJob(mm string) JobSpec {
 	return JobSpec{Matrix: MatrixSpec{Kind: "mm", MM: mm}, Solver: defaultSolver()}
 }
 
-// ---- String-form parsers (shared with cmd/sdcrun) ----
-
-// ParseFaultModel parses a fault class spec: the paper's three classes by
-// name ("large", "slight", "tiny") or an explicit model ("bitflip:<bit>",
-// "set:<value>", "scale:<factor>"). It delegates to fault.ParseModel, the
-// canonical parser shared with cmd/sdcrun and campaign manifests.
-func ParseFaultModel(spec string) (fault.Model, error) {
-	return fault.ParseModel(spec)
-}
-
-// ParseStep parses a Gram-Schmidt step selector name.
-func ParseStep(s string) (fault.StepSelector, error) {
-	return fault.ParseStepSelector(s)
-}
+// ---- Solver option names ----
 
 func parseOrtho(s string) (krylov.OrthoMethod, error) {
 	switch s {

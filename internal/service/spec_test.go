@@ -1,9 +1,15 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"sdcgmres/internal/gallery"
 )
 
 func TestValidateAcceptsBuilders(t *testing.T) {
@@ -35,7 +41,7 @@ func TestValidateRejects(t *testing.T) {
 	}{
 		{"no kind", JobSpec{}, "matrix kind missing"},
 		{"bad kind", JobSpec{Matrix: MatrixSpec{Kind: "dense", N: 4}}, "unknown matrix kind"},
-		{"oversize grid", JobSpec{Matrix: MatrixSpec{Kind: "poisson", N: MaxGridN + 1}}, "out of range"},
+		{"oversize grid", JobSpec{Matrix: MatrixSpec{Kind: "poisson", N: gallery.MaxGridN + 1}}, "out of range"},
 		{"tiny grid", JobSpec{Matrix: MatrixSpec{Kind: "poisson", N: 1}}, "out of range"},
 		{"mm empty", JobSpec{Matrix: MatrixSpec{Kind: "mm"}}, "needs inline mm"},
 		{"mm bad header", MatrixMarketJob("%%MatrixMarket matrix array real general\n2 2\n"), "coordinate"},
@@ -79,26 +85,60 @@ func FuzzMatrixMarketJob(f *testing.F) {
 		if spec.Validate() != nil {
 			return
 		}
-		a, _, err := BuildMatrix(spec.Matrix)
+		a, err := spec.Matrix.Build()
 		if err != nil {
 			return
 		}
-		if a.Rows() != a.Cols() || a.Rows() > MaxGridN*MaxGridN {
+		if a.Rows() != a.Cols() || a.Rows() > gallery.MaxGridN*gallery.MaxGridN {
 			t.Fatalf("built a %dx%d matrix from %q", a.Rows(), a.Cols(), payload)
 		}
 	})
 }
 
 func TestParseFaultModelRoundTrip(t *testing.T) {
+	job := func(class string) JobSpec {
+		return JobSpec{Matrix: MatrixSpec{Kind: "poisson", N: 8}, Fault: &FaultSpec{Class: class, At: 1}}
+	}
 	for _, spec := range []string{"large", "slight", "tiny", "bitflip:63", "set:1.5", "scale:0.5"} {
-		if _, err := ParseFaultModel(spec); err != nil {
-			t.Fatalf("%s: %v", spec, err)
+		if s := job(spec); s.Validate() != nil {
+			t.Fatalf("%s: %v", spec, s.Validate())
 		}
 	}
 	for _, spec := range []string{"", "huge", "bitflip:64", "set:x"} {
-		if _, err := ParseFaultModel(spec); err == nil {
+		if s := job(spec); s.Validate() == nil {
 			t.Fatalf("%q should fail", spec)
 		}
+	}
+}
+
+// TestSubmitRejectsUnbuildableCircuit: the circuit generator panics below
+// n = 3, so a circuit job with n = 2 is refused at submit, by the engine
+// and by POST /v1/jobs with the v1 envelope, instead of being accepted and
+// failing in its guest.
+func TestSubmitRejectsUnbuildableCircuit(t *testing.T) {
+	e := NewEngine(Config{Workers: 1})
+	e.Start()
+	defer e.Shutdown(context.Background())
+	if v, err := e.Submit(CircuitJob(2)); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("Submit(CircuitJob(2)) = %s, %v; want an out-of-range error", v.ID, err)
+	}
+
+	ts := httptest.NewServer(NewServer(e, ServerOptions{}))
+	defer ts.Close()
+	body, err := json.Marshal(CircuitJob(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := decodeEnvelope(t, resp, http.StatusBadRequest, "invalid_request")
+	if !strings.Contains(env.Message, "circuit n = 2") {
+		t.Fatalf("envelope message %q does not name the spec", env.Message)
+	}
+	if jobs := e.Jobs(); len(jobs) != 0 {
+		t.Fatalf("%d jobs admitted", len(jobs))
 	}
 }
 

@@ -8,14 +8,18 @@
 # BENCHMARK.json), pairs the number of pairs per workload (default 10),
 # seconds the window of each run (default BENCHMARK.json's run_seconds).
 #
-# The base revision is checked out in a temporary git worktree. Each pair
-# runs `bash bench/run.sh` once in that tree and once in the working tree,
-# with the same fresh seed on both sides, and alternates which side runs
-# first. Every run's result line is printed as it finishes; then, for each
-# workload and end-to-end metric, both sides' medians and quartiles and the
-# number of pairs the working tree won (ties count for neither). The script
-# exits nonzero if any run fails or reports "correct": false, and removes
-# the worktree on every exit.
+# The base revision's tree is extracted with `git archive` into a temporary
+# directory. Each pair runs `bash bench/run.sh` once in that tree and once
+# in the working tree, with the same fresh seed on both sides, and
+# alternates which side runs first. After both sides' first build, the
+# script prints the addresses of the hot kernels in both benchmark binaries
+# and flags every kernel that moved by an amount that is not a multiple of
+# 64 bytes: the end-to-end figures move with code layout, so such a pair
+# compares layouts as well as code. Every run's result line is printed as
+# it finishes; then, for each workload and end-to-end metric, both sides'
+# medians and quartiles and the number of pairs the working tree won (ties
+# count for neither). The script exits nonzero if any run fails or reports
+# "correct": false, and removes the temporary directory on every exit.
 set -euo pipefail
 
 if [ $# -lt 1 ] || [ $# -gt 4 ]; then
@@ -30,13 +34,9 @@ pairs=${3:-10}
 seconds=${4:-$(jq -r '.run_seconds' BENCHMARK.json)}
 
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/benchpair.XXXXXX")
-cleanup() {
-	git -C "$root" worktree remove --force "$tmp/base" 2>/dev/null || true
-	git -C "$root" worktree prune
-	rm -rf "$tmp"
-}
-trap cleanup EXIT
-git worktree add --quiet --detach "$tmp/base" "$base"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/base"
+git archive "$base" | tar -x -C "$tmp/base"
 
 results="$tmp/results.jsonl"
 ok=1
@@ -59,7 +59,34 @@ run() {
 	fi
 }
 
+# kernels prints the hot kernels' addresses in both benchmark binaries and
+# how far each moved.
+kernels() {
+	local s b c d flag
+	go tool nm -n "$tmp/base/.bench_build/sdcbench" >"$tmp/base.nm" &&
+		go tool nm -n "$root/.bench_build/sdcbench" >"$tmp/change.nm" || {
+		echo "kernels: a benchmark binary is missing" >&2
+		return
+	}
+	printf '%-24s %10s %10s %7s\n' kernel base change moved
+	for s in vec.Dot vec.Axpy vec.Norm2 kernel.Dot 'sparse.(*CSR).MatVec' 'core.(*Solver).solve'; do
+		b=$(awk -v s="sdcgmres/internal/$s" '$3 == s { print $1 }' "$tmp/base.nm")
+		c=$(awk -v s="sdcgmres/internal/$s" '$3 == s { print $1 }' "$tmp/change.nm")
+		if [ -z "$b" ] || [ -z "$c" ]; then
+			printf '%-24s %10s %10s\n' "$s" "${b:--}" "${c:--}"
+			continue
+		fi
+		d=$((0x$c - 0x$b))
+		flag=
+		if ((d % 64)); then
+			flag="  <- not 0 mod 64"
+		fi
+		printf '%-24s %10s %10s %+7d%s\n' "$s" "$b" "$c" "$d" "$flag"
+	done
+}
+
 echo "base $base, change: working tree of $(git rev-parse HEAD); $pairs pairs of ${seconds}s runs"
+shown=0
 IFS=, read -r -a wls <<<"$workloads"
 for wl in "${wls[@]}"; do
 	for ((i = 1; i <= pairs; i++)); do
@@ -70,6 +97,10 @@ for wl in "${wls[@]}"; do
 		else
 			run change "$root" "$wl" "$i" "$seed"
 			run base "$tmp/base" "$wl" "$i" "$seed"
+		fi
+		if [ "$shown" = 0 ]; then
+			kernels
+			shown=1
 		fi
 	done
 done

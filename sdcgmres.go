@@ -48,7 +48,6 @@ import (
 	"sdcgmres/internal/gallery"
 	"sdcgmres/internal/krylov"
 	"sdcgmres/internal/precond"
-	"sdcgmres/internal/service"
 	"sdcgmres/internal/sparse"
 	"sdcgmres/internal/trace"
 	"sdcgmres/internal/vec"
@@ -430,51 +429,3 @@ type RollbackStats = abft.RollbackStats
 // RollbackGMRES is the detect-and-rollback baseline the paper contrasts
 // its roll-forward design against.
 var RollbackGMRES = abft.RollbackGMRES
-
-// ---- Solver service (cmd/solved) ----
-
-// JobSpec is one solver-service unit of work: a linear system, a solver
-// configuration, and an optional fault to inject.
-type JobSpec = service.JobSpec
-
-// JobMatrixSpec selects the job's operator (generator or inline Matrix
-// Market content); the right-hand side is always the consistent b = A·1.
-type JobMatrixSpec = service.MatrixSpec
-
-// JobSolverSpec selects the job's solver and resilience configuration.
-type JobSolverSpec = service.SolverSpec
-
-// JobFaultSpec arms a single-shot SDC injector inside the job's solve.
-type JobFaultSpec = service.FaultSpec
-
-// SolveRecord is the canonical machine-readable solve result, shared by
-// the service's job results and cmd/sdcrun -json.
-type SolveRecord = service.SolveRecord
-
-// Job spec builders with the recommended resilient defaults (FT-GMRES,
-// detector armed, restart-inner response).
-var (
-	NewPoissonJob      = service.PoissonJob
-	NewCircuitJob      = service.CircuitJob
-	NewConvDiffJob     = service.ConvDiffJob
-	NewMatrixMarketJob = service.MatrixMarketJob
-)
-
-// JobEngine is the solver job engine: bounded queue, worker pool, sandbox
-// isolation per job, metrics.
-type JobEngine = service.Engine
-
-// JobEngineConfig parameterizes a JobEngine.
-type JobEngineConfig = service.Config
-
-// NewJobEngine builds a job engine; call Start on it to launch workers.
-var NewJobEngine = service.NewEngine
-
-// NewJobServer exposes an engine over HTTP (the cmd/solved handler).
-var NewJobServer = service.NewServer
-
-// JobServerOptions configures the HTTP layer (pprof, body caps).
-type JobServerOptions = service.ServerOptions
-
-// ServiceMetrics is the service observability registry.
-type ServiceMetrics = service.Metrics
