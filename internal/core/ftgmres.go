@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"sdcgmres/internal/detect"
@@ -352,7 +353,7 @@ func (ws *Workspace) Solve(ctx context.Context, s *Solver, b []float64) (*Result
 // Resume is SolveResume on ws's storage: the outer iterations after k and
 // every inner solve run on it.
 func (ws *Workspace) Resume(ctx context.Context, s *Solver, b []float64, t *Tape, k int) (*Result, error) {
-	if k < 1 || k >= t.Len() {
+	if k < 1 || k > t.outer.Restorable() {
 		return nil, fmt.Errorf("core: cannot resume at outer iteration %d from a %d-iteration tape", k, t.Len())
 	}
 	return s.solve(ctx, ws, b, nil, t, k)
@@ -377,12 +378,13 @@ func (ws *Workspace) innerWS() *krylov.Workspace {
 // Tape records a nested solve's first outer cycle: the outer FGMRES tape,
 // plus what each outer iteration's inner solve left behind. A solve known to
 // agree with the recorded one for its first k outer iterations can restore
-// them from the tape instead of recomputing them (SolveResume). A tape is
-// read-only once recorded, so any number of solves may resume from it at
-// once.
+// them from the tape instead of recomputing them (SolveResume); ResumeAt is
+// the rule that tells how many. A tape is read-only once recorded, so any
+// number of solves may resume from it at once.
 type Tape struct {
 	outer krylov.Tape
 	inner []tapeInner // one per recorded outer iteration
+	iters int         // inner iterations per outer iteration
 }
 
 // tapeInner is the state after one recorded outer iteration's inner solve.
@@ -392,8 +394,79 @@ type tapeInner struct {
 	coeffs int     // Hessenberg coefficients the inner solves so far produced
 }
 
-// Len returns the number of outer iterations the tape holds.
-func (t *Tape) Len() int { return t.outer.Len() }
+// Len returns the number of outer iterations the tape holds (0 for nil).
+func (t *Tape) Len() int {
+	if t == nil {
+		return 0
+	}
+	return t.outer.Len()
+}
+
+// Complete reports whether t records a whole first outer cycle rather than a
+// Prefix of one (false for nil).
+func (t *Tape) Complete() bool { return t != nil && t.outer.Restorable() < t.Len() }
+
+// Bytes returns the storage of t's vectors and Hessenberg columns.
+func (t *Tape) Bytes() int64 { return t.outer.Bytes() }
+
+// Prefix returns the longest failure-free prefix of t, a tape SolveRecord
+// made of a solve whose one fault lies at the given aggregate inner
+// iteration (site ≤ 0: a solve without a fault), or nil when that prefix is
+// empty. The prefix holds the outer iterations whose inner solves lie wholly
+// before the fault, up to the first inner solve that a detector halted or
+// whose sandbox failed: either leaves it unlike the failure-free solve. It
+// keeps only what resuming from it reads, and a solve may resume from it
+// after its last iteration. A recording that ended before its fault and
+// halted nothing is failure-free throughout: its prefix is t, complete.
+func (t *Tape) Prefix(site int) *Tape {
+	k := t.Len()
+	if site > 0 {
+		k = min(k, (site-1)/t.iters)
+	}
+	for j, in := range t.inner[:k] {
+		if in.stats.InnerHalts > 0 || in.stats.SandboxFailures > 0 {
+			k = j
+			break
+		}
+	}
+	switch k {
+	case 0:
+		return nil
+	case t.Len():
+		return t
+	}
+	return &Tape{outer: *t.outer.Prefix(k), inner: slices.Clone(t.inner[:k]), iters: t.iters}
+}
+
+// ResumeAt returns how many outer iterations of t a solve by s, faulted at
+// the given aggregate inner iteration (site ≤ 0: without a fault), can
+// restore instead of recompute: one per inner solve wholly before the
+// faulted one, as many as t can restore. t must come from SolveRecord, or
+// Prefix, on a solver with s's operator, b and configuration but for inner
+// hooks and the detector. It returns 0 — solve from scratch — when t is nil,
+// when s has a Recorder or OnOuter that would miss the restored iterations,
+// or when s's detector would have flagged one of their coefficients (so the
+// tape is not what s would have computed).
+func (t *Tape) ResumeAt(s *Solver, site int) int {
+	if t == nil {
+		return 0
+	}
+	k := t.outer.Restorable()
+	if site > 0 {
+		k = min(k, (site-1)/s.cfg.Inner.Iterations)
+	}
+	if k < 1 || s.cfg.Recorder != nil || s.cfg.OnOuter != nil {
+		return 0
+	}
+	if s.det != nil && !(t.PrefixMaxAbs(k) <= detectorBound(s.det)) {
+		return 0
+	}
+	return k
+}
+
+// detectorBound is the bound ResumeAt screens the tape's coefficients
+// against. Tests lower it to force the from-scratch path.
+var detectorBound = (*detect.Detector).Bound
 
 // PrefixMaxAbs returns the largest |h| among the Hessenberg coefficients the
 // first k recorded inner solves produced (1 ≤ k ≤ Len), or +Inf when one of
@@ -439,7 +512,7 @@ func (c *coeffTally) Observe(_ krylov.CoeffContext, h float64) (float64, error) 
 // SolveRecord is s.SolveCtx(ctx, b, nil) that also records the solve's
 // first outer cycle on a tape. Only the FGMRES outer iteration can be taped.
 func SolveRecord(ctx context.Context, s *Solver, b []float64) (*Result, *Tape, error) {
-	t := &Tape{}
+	t := &Tape{iters: s.cfg.Inner.Iterations}
 	res, err := s.solve(ctx, new(Workspace), b, nil, t, 0)
 	if err != nil {
 		return nil, nil, err
@@ -458,9 +531,11 @@ func SolveRecord(ctx context.Context, s *Solver, b []float64) (*Result, *Tape, e
 // they were: hooks that alter none of their coefficients, and a detector
 // that would pass every one (PrefixMaxAbs(k) within its bound). s must
 // have no Recorder or OnOuter, which would miss the restored iterations.
-// k must leave the recorded solve still iterating: 1 ≤ k < t.Len(). The
-// detector's own counters see only the iterations the solve runs; the
-// result's Stats include the restored ones. It runs on a fresh Workspace.
+// k must leave the recorded solve still iterating: at least 1, below t.Len()
+// for a complete tape and at most t.Len() for a Prefix. t.ResumeAt(s, site)
+// makes all these checks. The detector's own counters see only the
+// iterations the solve runs; the result's Stats include the restored ones.
+// It runs on a fresh Workspace.
 func SolveResume(ctx context.Context, s *Solver, b []float64, t *Tape, k int) (*Result, error) {
 	return new(Workspace).Resume(ctx, s, b, t, k)
 }

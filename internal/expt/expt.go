@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"sdcgmres/internal/core"
-	"sdcgmres/internal/detect"
 	"sdcgmres/internal/fault"
 	"sdcgmres/internal/gallery"
 	"sdcgmres/internal/kernel"
@@ -53,8 +52,8 @@ type Problem struct {
 	InnerPolicy krylov.LSQPolicy
 
 	// tape is Calibrate's failure-free verification solve, from which
-	// faulted runs resume (see resumeAt); nil for a problem built without
-	// Calibrate. Read-only once set.
+	// faulted runs resume (see core.Tape.ResumeAt); nil for a problem built
+	// without Calibrate. Read-only once set.
 	tape *core.Tape
 	// work is the free list of workspaces, behind a pointer so a Problem
 	// copied by value shares it; nil for a Problem built as a literal,
@@ -264,7 +263,8 @@ func Sweep(ctx context.Context, p *Problem, cfg SweepConfig) []SweepPoint {
 // A run is the failure-free solve bit for bit until its fault strikes, so
 // when p was built by Calibrate the run resumes from the failure-free tape
 // after the inner solves wholly before the faulted one, instead of
-// recomputing them (see resumeAt). The point is the same either way.
+// recomputing them (see core.Tape.ResumeAt). The point is the same either
+// way.
 func RunPoint(ctx context.Context, p *Problem, cfg SweepConfig, aggregate int) SweepPoint {
 	pt, _ := runPoint(ctx, p, cfg, aggregate)
 	return pt
@@ -303,40 +303,16 @@ func runPoint(ctx context.Context, p *Problem, cfg SweepConfig, aggregate int) (
 
 // solve runs s on p's system for a run whose one fault lies at the given
 // aggregate inner iteration, on a workspace from p's list: resumed from p's
-// failure-free tape when resumeAt allows it, from scratch otherwise.
+// failure-free tape when the tape's ResumeAt allows it, from scratch
+// otherwise.
 func (p *Problem) solve(ctx context.Context, s *core.Solver, aggregate int) (*core.Result, error) {
 	ws := p.work.get()
 	defer p.work.put(ws)
-	if k := p.resumeAt(s, aggregate); k > 0 {
+	if k := p.tape.ResumeAt(s, aggregate); k > 0 {
 		return ws.Resume(ctx, s, p.B, p.tape, k)
 	}
 	return ws.Solve(ctx, s, p.B)
 }
-
-// resumeAt returns how many outer iterations of p's failure-free tape a
-// solve by s, faulted at the given aggregate inner iteration, can restore
-// instead of recompute: one per inner solve wholly before the faulted one.
-// It returns 0 — solve from scratch — when p has no tape, when s has a
-// Recorder or OnOuter that would miss the restored iterations, or when s's
-// detector would have flagged one of their coefficients (so the tape is not
-// what s would have computed).
-func (p *Problem) resumeAt(s *core.Solver, aggregate int) int {
-	k := (aggregate - 1) / p.InnerIters
-	if p.tape == nil || k < 1 || k >= p.tape.Len() {
-		return 0
-	}
-	if cfg := s.Config(); cfg.Recorder != nil || cfg.OnOuter != nil {
-		return 0
-	}
-	if det := s.Detector(); det != nil && !(p.tape.PrefixMaxAbs(k) <= detectorBound(det)) {
-		return 0
-	}
-	return k
-}
-
-// detectorBound is the bound resumeAt screens the tape's coefficients
-// against. Tests lower it to force the from-scratch path.
-var detectorBound = (*detect.Detector).Bound
 
 // solutionWrong checks the converged solution against the known truth
 // (x = 1 since B = A·1): a silent failure is a residual that passed the

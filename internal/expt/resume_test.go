@@ -114,7 +114,7 @@ func TestResumedUnitsMatchScratch(t *testing.T) {
 			for _, step := range oracleSteps {
 				for _, det := range oracleDetectors {
 					cfg := SweepConfig{Model: model, Step: step, Detector: det}
-					if p.resumeAt(core.New(p.A, p.Config(det, nil)), site) > 0 {
+					if p.tape.ResumeAt(core.New(p.A, p.Config(det, nil)), site) > 0 {
 						resumed++
 					}
 					checkUnit(t, p, scratch, cfg, site)
@@ -127,47 +127,30 @@ func TestResumedUnitsMatchScratch(t *testing.T) {
 	}
 }
 
-// TestResumeFallsBackToScratch covers the eligibility check: a detector
-// bound below the tape's prefix coefficients, an attached Recorder or
-// OnOuter, and a problem without a tape each force a from-scratch solve
-// that still equals the reference.
+// TestResumeFallsBackToScratch covers the eligibility check on a calibrated
+// problem: an attached Recorder or OnOuter, a problem without a tape and a
+// fault in the first inner solve each force a from-scratch solve that still
+// equals the reference. The detector-bound cases run in core, beside the
+// rule's test seam (TestResumeAtDetectorBound).
 func TestResumeFallsBackToScratch(t *testing.T) {
 	p := testProblem(t)
 	scratch := untaped(p)
 	det := core.DetectorConfig{Enabled: true, Kind: detect.FrobeniusBound, Response: core.ResponseRestartInner}
 	site := 3*p.InnerIters + 2 // in inner solve 4: three restorable outer iterations
 	const k = 3
-	s := core.New(p.A, p.Config(det, nil))
-	if got := p.resumeAt(s, site); got != k {
-		t.Fatalf("resumeAt = %d, want %d", got, k)
-	}
-
-	// The bound is inclusive: exactly the prefix max still resumes, the next
-	// float below it does not.
-	prefixMax := p.tape.PrefixMaxAbs(k)
-	defer func(f func(*detect.Detector) float64) { detectorBound = f }(detectorBound)
-	detectorBound = func(*detect.Detector) float64 { return prefixMax }
-	if got := p.resumeAt(s, site); got != k {
-		t.Fatalf("bound = prefix max: resumeAt = %d, want %d", got, k)
-	}
-	detectorBound = func(*detect.Detector) float64 { return math.Nextafter(prefixMax, 0) }
-	if got := p.resumeAt(s, site); got != 0 {
-		t.Fatalf("bound below prefix max: resumeAt = %d, want 0", got)
-	}
-	if got := p.resumeAt(core.New(p.A, p.Config(core.DetectorConfig{}, nil)), site); got != k {
-		t.Fatalf("no detector: resumeAt = %d, want %d (the bound must not matter)", got, k)
+	if got := p.tape.ResumeAt(core.New(p.A, p.Config(det, nil)), site); got != k {
+		t.Fatalf("ResumeAt = %d, want %d", got, k)
 	}
 	for _, model := range []fault.Model{fault.ClassLarge, fault.ClassSlight} {
 		checkUnit(t, p, scratch, SweepConfig{Model: model, Step: fault.FirstMGS, Detector: det}, site)
 	}
-	detectorBound = (*detect.Detector).Bound
 
 	// Observers of the outer iteration must see every one of them.
 	cfg := p.Config(det, nil)
 	cfg.Recorder = trace.NewRecorder(1 << 14)
-	s = core.New(p.A, cfg)
-	if got := p.resumeAt(s, site); got != 0 {
-		t.Fatalf("with a Recorder: resumeAt = %d, want 0", got)
+	s := core.New(p.A, cfg)
+	if got := p.tape.ResumeAt(s, site); got != 0 {
+		t.Fatalf("with a Recorder: ResumeAt = %d, want 0", got)
 	}
 	res, err := p.solve(context.Background(), s, site)
 	if err != nil {
@@ -194,8 +177,8 @@ func TestResumeFallsBackToScratch(t *testing.T) {
 	calls := 0
 	cfg.OnOuter = func(int, float64) { calls++ }
 	s = core.New(p.A, cfg)
-	if got := p.resumeAt(s, site); got != 0 {
-		t.Fatalf("with OnOuter: resumeAt = %d, want 0", got)
+	if got := p.tape.ResumeAt(s, site); got != 0 {
+		t.Fatalf("with OnOuter: ResumeAt = %d, want 0", got)
 	}
 	if res, err = p.solve(context.Background(), s, site); err != nil {
 		t.Fatal(err)
@@ -204,12 +187,12 @@ func TestResumeFallsBackToScratch(t *testing.T) {
 		t.Fatalf("OnOuter called %d times, solve ran %d outer iterations", calls, res.Stats.OuterIterations)
 	}
 
-	if got := scratch.resumeAt(core.New(p.A, p.Config(det, nil)), site); got != 0 {
-		t.Fatalf("problem without a tape: resumeAt = %d, want 0", got)
+	if got := scratch.tape.ResumeAt(core.New(p.A, p.Config(det, nil)), site); got != 0 {
+		t.Fatalf("problem without a tape: ResumeAt = %d, want 0", got)
 	}
 	for _, site := range []int{1, p.InnerIters} { // faults in the first inner solve
-		if got := p.resumeAt(core.New(p.A, p.Config(det, nil)), site); got != 0 {
-			t.Fatalf("site %d: resumeAt = %d, want 0", site, got)
+		if got := p.tape.ResumeAt(core.New(p.A, p.Config(det, nil)), site); got != 0 {
+			t.Fatalf("site %d: ResumeAt = %d, want 0", site, got)
 		}
 	}
 }

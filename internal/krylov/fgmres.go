@@ -3,6 +3,7 @@ package krylov
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"sdcgmres/internal/kernel"
 	"sdcgmres/internal/vec"
@@ -78,6 +79,9 @@ type Tape struct {
 	beta  float64     // initial residual norm ‖b − A x0‖
 	q, z  [][]float64 // the basis and preconditioned vectors the solve built
 	steps []tapeStep
+	// prefix marks a tape cut short of its recording (Prefix): the
+	// recorded solve went on after its last iteration.
+	prefix bool
 }
 
 // tapeStep is the state one outer iteration left behind.
@@ -91,6 +95,44 @@ type tapeStep struct {
 // Len returns the number of outer iterations the tape holds (0 for a tape
 // whose recording failed).
 func (t *Tape) Len() int { return len(t.steps) }
+
+// Restorable returns the most iterations a solve can restore from t: all of
+// a prefix's, whose recorded solve went on after them, and all but the last
+// of a whole recording, whose last iteration ended the solve.
+func (t *Tape) Restorable() int {
+	if t.prefix {
+		return t.Len()
+	}
+	return t.Len() - 1
+}
+
+// Prefix returns a tape of t's first k iterations, 1 ≤ k < Len, holding only
+// what resuming from it reads: Q[:k+1], Z[:k] and k Hessenberg columns. It
+// shares t's vectors, and a solve may resume from it at k itself.
+func (t *Tape) Prefix(k int) *Tape {
+	return &Tape{
+		beta:   t.beta,
+		q:      slices.Clone(t.q[:k+1]),
+		z:      slices.Clone(t.z[:k]),
+		steps:  slices.Clone(t.steps[:k]),
+		prefix: true,
+	}
+}
+
+// Bytes returns the storage of t's vectors and Hessenberg columns, 8 bytes
+// an entry.
+func (t *Tape) Bytes() int64 {
+	n := 0
+	for _, vs := range [][][]float64{t.q, t.z} {
+		for _, v := range vs {
+			n += len(v)
+		}
+	}
+	for _, st := range t.steps {
+		n += len(st.h)
+	}
+	return 8 * int64(n)
+}
 
 // FGMRESRecord is FGMRESCtx that also records the solve on t, which must be
 // empty. The tape is filled only when the solve returns without error. The
@@ -110,8 +152,8 @@ func FGMRESRecord(ctx context.Context, a Operator, b, x0 []float64, provider Pre
 // options as the recording, and a provider whose first k preconditioner
 // applications would return what the recorded ones did. Hooks, Recorder
 // and OnIteration observe only the iterations the resumed solve runs. k
-// must leave the recorded solve still iterating: 1 ≤ k < t.Len(). It runs
-// on a fresh Workspace.
+// must leave the recorded solve still iterating: 1 ≤ k ≤ t.Restorable().
+// It runs on a fresh Workspace.
 func FGMRESResume(ctx context.Context, a Operator, b, x0 []float64, provider PrecondProvider, opts FGMRESOptions, t *Tape, k int) (*Result, error) {
 	return new(Workspace).FGMRESResume(ctx, a, b, x0, provider, opts, t, k)
 }
@@ -146,7 +188,7 @@ func (ws *Workspace) fgmres(ctx context.Context, a Operator, b, x0 []float64, pr
 	}
 	n := a.Rows()
 	recording := t != nil && k == 0
-	if k > 0 && (k >= t.Len() || k >= o.MaxIter || len(t.q[0]) != n) {
+	if k > 0 && (k > t.Restorable() || k >= o.MaxIter || len(t.q[0]) != n) {
 		return nil, fmt.Errorf("krylov: cannot resume at outer iteration %d from a %d-iteration tape", k, t.Len())
 	}
 	// The iterate is the caller's, never the workspace's.

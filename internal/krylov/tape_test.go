@@ -128,3 +128,45 @@ func TestFGMRESResumeRejectsBadStart(t *testing.T) {
 		t.Error("empty tape: no error")
 	}
 }
+
+// TestFGMRESResumeFromPrefix cuts a recording after each of its iterations
+// but the last. Each prefix keeps only what resuming reads, restores every
+// iteration it holds, and refuses one more; resuming from it at any k, its
+// end included, equals the full solve. A whole recording restores all but
+// its last iteration.
+func TestFGMRESResumeFromPrefix(t *testing.T) {
+	a := gallery.ConvectionDiffusion2D(12, 4, -2)
+	b := onesRHS(a)
+	provider := FixedPreconditioner(innerGMRES(a, 6))
+	opts := FGMRESOptions{Options: Options{MaxIter: 40, Tol: 1e-10}, ExplicitResidual: true}
+	tape := &Tape{}
+	want, err := FGMRESRecord(context.Background(), a, b, nil, provider, opts, tape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tape.Restorable() != tape.Len()-1 {
+		t.Fatalf("whole recording restores %d of %d iterations", tape.Restorable(), tape.Len())
+	}
+	n := a.Rows()
+	for k := 1; k < tape.Len(); k++ {
+		p := tape.Prefix(k)
+		if p.Len() != k || p.Restorable() != k || len(p.q) != k+1 || len(p.z) != k {
+			t.Fatalf("k=%d: prefix holds %d steps, %d q, %d z, restores %d", k, p.Len(), len(p.q), len(p.z), p.Restorable())
+		}
+		if got, want := p.Bytes(), 8*int64((2*k+1)*n+k*(k+3)/2); got != want {
+			t.Fatalf("k=%d: prefix bytes %d, want %d", k, got, want)
+		}
+		for _, at := range []int{1, k} {
+			got, err := FGMRESResume(context.Background(), a, b, nil, provider, opts, p, at)
+			if err != nil {
+				t.Fatalf("k=%d resumed at %d: %v", k, at, err)
+			}
+			if !sameSolve(got, want) {
+				t.Fatalf("k=%d resumed at %d: differs from the full solve", k, at)
+			}
+		}
+		if _, err := FGMRESResume(context.Background(), a, b, nil, provider, opts, p, k+1); err == nil {
+			t.Fatalf("k=%d: resumed past the prefix's end", k)
+		}
+	}
+}

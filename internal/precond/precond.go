@@ -14,6 +14,7 @@ package precond
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"sdcgmres/internal/krylov"
 	"sdcgmres/internal/sparse"
@@ -66,6 +67,10 @@ type SSOR struct {
 	a     *sparse.CSR
 	diag  []float64
 	omega float64
+
+	// t is the SSOR preconditioner of Aᵀ, built by the first ApplyTranspose.
+	tOnce sync.Once
+	t     *SSOR
 }
 
 // NewSSOR builds the SSOR preconditioner with relaxation factor omega in
@@ -87,31 +92,31 @@ func NewSSOR(a *sparse.CSR, omega float64) (*SSOR, error) {
 }
 
 // Apply implements krylov.Preconditioner: z = M⁻¹ q via a forward then a
-// backward triangular sweep.
+// backward triangular sweep, both in place in z, so z may alias q.
 func (s *SSOR) Apply(z, q []float64) error {
 	n := s.a.Rows()
 	if len(z) != n || len(q) != n {
 		return fmt.Errorf("precond: SSOR dimension mismatch")
 	}
 	scale := s.omega * (2 - s.omega)
-	// Forward: (D/ω + L) y = q.
-	y := make([]float64, n)
+	// Forward: (D/ω + L) y = q, y in z. Row i reads q[i] before writing
+	// z[i], and only the y[j], j < i, already in z.
 	for i := 0; i < n; i++ {
 		sum := q[i]
 		cols, vals := s.a.Row(i)
 		for k, j := range cols {
 			if j < i {
-				sum -= vals[k] * y[j]
+				sum -= vals[k] * z[j]
 			}
 		}
-		y[i] = sum * s.omega / s.diag[i]
+		z[i] = sum * s.omega / s.diag[i]
 	}
 	// Scale by D/ω then backward: (D/ω + U) z = (D/ω) y.
 	for i := 0; i < n; i++ {
-		y[i] *= s.diag[i] / s.omega
+		z[i] *= s.diag[i] / s.omega
 	}
 	for i := n - 1; i >= 0; i-- {
-		sum := y[i]
+		sum := z[i]
 		cols, vals := s.a.Row(i)
 		for k, j := range cols {
 			if j > i {
@@ -129,12 +134,8 @@ func (s *SSOR) Apply(z, q []float64) error {
 // ApplyTranspose implements Transposable: M(ω)ᵀ swaps the roles of L and
 // U, i.e., it is the SSOR preconditioner of Aᵀ.
 func (s *SSOR) ApplyTranspose(z, q []float64) error {
-	t := s.transposed()
-	return t.Apply(z, q)
-}
-
-func (s *SSOR) transposed() *SSOR {
-	return &SSOR{a: s.a.Transpose(), diag: s.diag, omega: s.omega}
+	s.tOnce.Do(func() { s.t = &SSOR{a: s.a.Transpose(), diag: s.diag, omega: s.omega} })
+	return s.t.Apply(z, q)
 }
 
 // ILU0 is the incomplete LU factorization with zero fill-in: L and U share
@@ -221,14 +222,15 @@ func rawRows(m *sparse.CSR) (cols [][]int, vals [][]float64) {
 	return cols, vals
 }
 
-// Apply implements krylov.Preconditioner: z = U⁻¹ L⁻¹ q.
+// Apply implements krylov.Preconditioner: z = U⁻¹ L⁻¹ q, both triangular
+// solves in place in z, so z may alias q.
 func (p *ILU0) Apply(z, q []float64) error {
 	n := p.lu.Rows()
 	if len(z) != n || len(q) != n {
 		return fmt.Errorf("precond: ILU(0) dimension mismatch")
 	}
-	// Forward: L y = q, unit diagonal.
-	y := make([]float64, n)
+	// Forward: L y = q, unit diagonal, y in z. Row i reads q[i] before
+	// writing z[i], and only the y[j], j < i, already in z.
 	for i := 0; i < n; i++ {
 		sum := q[i]
 		cols, vals := p.lu.Row(i)
@@ -236,13 +238,13 @@ func (p *ILU0) Apply(z, q []float64) error {
 			if j >= i {
 				break
 			}
-			sum -= vals[k] * y[j]
+			sum -= vals[k] * z[j]
 		}
-		y[i] = sum
+		z[i] = sum
 	}
 	// Backward: U z = y.
 	for i := n - 1; i >= 0; i-- {
-		sum := y[i]
+		sum := z[i]
 		cols, vals := p.lu.Row(i)
 		d := p.diag[i]
 		for k := d + 1; k < len(cols); k++ {
@@ -253,26 +255,25 @@ func (p *ILU0) Apply(z, q []float64) error {
 	return nil
 }
 
-// ApplyTranspose implements Transposable: z = (LU)⁻ᵀ q = L⁻ᵀ U⁻ᵀ q.
+// ApplyTranspose implements Transposable: z = (LU)⁻ᵀ q = L⁻ᵀ U⁻ᵀ q, both
+// triangular solves in place in z.
 func (p *ILU0) ApplyTranspose(z, q []float64) error {
 	n := p.lu.Rows()
 	if len(z) != n || len(q) != n {
 		return fmt.Errorf("precond: ILU(0) dimension mismatch")
 	}
-	// Uᵀ is lower triangular: forward solve Uᵀ y = q. Column-oriented over
-	// rows of U.
-	y := make([]float64, n)
-	copy(y, q)
+	// Uᵀ is lower triangular: forward solve Uᵀ y = q, y in z. Column-oriented
+	// over rows of U.
+	copy(z, q)
 	for i := 0; i < n; i++ {
 		cols, vals := p.lu.Row(i)
 		d := p.diag[i]
-		y[i] /= vals[d]
+		z[i] /= vals[d]
 		for k := d + 1; k < len(cols); k++ {
-			y[cols[k]] -= vals[k] * y[i]
+			z[cols[k]] -= vals[k] * z[i]
 		}
 	}
 	// Lᵀ is upper triangular with unit diagonal: backward solve Lᵀ z = y.
-	copy(z, y)
 	for i := n - 1; i >= 0; i-- {
 		cols, vals := p.lu.Row(i)
 		for k, j := range cols {

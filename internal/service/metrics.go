@@ -48,6 +48,12 @@ type Metrics struct {
 	// built on a miss, and jobs that reused a cached operator.
 	MatrixBuilds    *obs.Counter
 	MatrixCacheHits *obs.Counter
+	// Failure-free prefixes of the cached operators: fresh ftgmres jobs
+	// that resumed from one, the outer iterations they restored instead of
+	// recomputing, and prefixes stored.
+	JobResumes       *obs.Counter
+	JobOuterRestored *obs.Counter
+	PrefixRecords    *obs.Counter
 
 	solve obs.HistogramVec // per solver kind
 }
@@ -78,6 +84,9 @@ func NewMetrics() *Metrics {
 		StoreIngestErrors:     r.Counter("solved_store_ingest_errors_total", "Records the results store failed to absorb."),
 		MatrixBuilds:          r.Counter("solved_matrix_builds_total", "Job operators built because the operator cache missed."),
 		MatrixCacheHits:       r.Counter("solved_matrix_cache_hits_total", "Jobs that solved on a cached operator."),
+		JobResumes:            r.Counter("solved_job_resumes_total", "Fresh ftgmres jobs resumed from a cached failure-free prefix."),
+		JobOuterRestored:      r.Counter("solved_job_outer_restored_total", "Outer iterations jobs restored from failure-free prefixes instead of recomputing."),
+		PrefixRecords:         r.Counter("solved_prefix_records_total", "Failure-free prefixes that jobs recorded and the operator cache stored."),
 		solve:                 r.HistogramVec("solved_solve_duration_seconds", "Completed solve wall-clock latency by solver kind.", nil, "solver"),
 	}
 }

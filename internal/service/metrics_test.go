@@ -86,7 +86,12 @@ func TestSnapshotKeys(t *testing.T) {
 	if snap["jobs_completed"] != 1 {
 		t.Fatalf("snapshot: %v", snap)
 	}
-	if len(snap) != 21 {
-		t.Fatalf("expected 21 counters, got %d", len(snap))
+	if len(snap) != 24 {
+		t.Fatalf("expected 24 counters, got %d", len(snap))
+	}
+	for _, k := range []string{"job_resumes", "job_outer_restored", "prefix_records"} {
+		if _, ok := snap[k]; !ok {
+			t.Fatalf("snapshot lacks %q: %v", k, snap)
+		}
 	}
 }

@@ -149,7 +149,7 @@ func TestOperatorCacheBound(t *testing.T) {
 	}
 	c := newOpCache(size(4)+size(5), NewMetrics())
 	get := func(n int) {
-		if _, _, err := c.matrix(MatrixSpec{Kind: "poisson", N: n}); err != nil {
+		if _, err := c.operator(MatrixSpec{Kind: "poisson", N: n}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,7 +177,7 @@ func TestOperatorCacheBound(t *testing.T) {
 	if got, want := cached(), "poisson-3x3 poisson-4x4 "; got != want {
 		t.Fatalf("after an oversized build: cached %q, want %q", got, want)
 	}
-	if _, _, err := c.matrix(MatrixSpec{Kind: "mm", MM: "%%MatrixMarket matrix coordinate real general\n2 3 1\n1 1 1.0\n"}); err == nil {
+	if _, err := c.operator(MatrixSpec{Kind: "mm", MM: "%%MatrixMarket matrix coordinate real general\n2 3 1\n1 1 1.0\n"}); err == nil {
 		t.Fatal("non-square mm payload built")
 	}
 	if got, want := cached(), "poisson-3x3 poisson-4x4 "; got != want {
@@ -202,7 +202,7 @@ func TestOperatorCachePanickingBuild(t *testing.T) {
 				t.Fatal("circuit n = 2 built without a panic")
 			}
 		}()
-		e.ops.matrix(MatrixSpec{Kind: "circuit", N: 2}) // the generator rejects n = 2
+		e.ops.operator(MatrixSpec{Kind: "circuit", N: 2}) // the generator rejects n = 2
 	}()
 	if n := cachedOps(e); n != 0 {
 		t.Fatalf("%d operators cached after a panicking build", n)

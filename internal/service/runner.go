@@ -99,9 +99,11 @@ func forwardError(x []float64) float64 {
 // kernels on persistent workers; records are bitwise identical for every
 // pool width.
 //
-// RunSpec always builds the matrix afresh; the engine's default runner
-// runs the same solve on an operator from its cache, and RunSpec is the
-// uncached reference its records must equal.
+// RunSpec is the uncached reference: it builds the matrix afresh and solves
+// from scratch. The engine's default runner runs the same solve on an
+// operator from its cache, where a fresh ftgmres job may resume from a
+// failure-free prefix that an earlier job recorded, and its records must
+// equal RunSpec's.
 func RunSpec(ctx context.Context, spec *JobSpec, tr *trace.Recorder, pool *kernel.Pool) (*SolveRecord, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -110,25 +112,29 @@ func RunSpec(ctx context.Context, spec *JobSpec, tr *trace.Recorder, pool *kerne
 	if err != nil {
 		return nil, err
 	}
-	return solveSpec(ctx, spec, a, spec.Matrix.Name(), tr, pool)
+	return solveSpec(ctx, spec, &operator{a: a, name: spec.Matrix.Name()}, tr, pool)
 }
 
 // runCached is the engine's default Runner: RunSpec with the operator
-// taken from the engine's operator cache.
+// taken from the engine's operator cache, which also passes the cached
+// operator's failure-free prefixes to ftgmres jobs (operator.solve). A
+// traced job neither resumes nor records, so an engine with a
+// TraceCapacity solves every job from scratch.
 func (e *Engine) runCached(ctx context.Context, spec *JobSpec, tr *trace.Recorder, pool *kernel.Pool) (*SolveRecord, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	a, name, err := e.ops.matrix(spec.Matrix)
+	op, err := e.ops.operator(spec.Matrix)
 	if err != nil {
 		return nil, err
 	}
-	return solveSpec(ctx, spec, a, name, tr, pool)
+	return solveSpec(ctx, spec, op, tr, pool)
 }
 
-// solveSpec solves A x = A·1 as a validated spec describes. A is only
-// read, so one operator may serve many concurrent solves.
-func solveSpec(ctx context.Context, spec *JobSpec, a *sparse.CSR, name string, tr *trace.Recorder, pool *kernel.Pool) (*SolveRecord, error) {
+// solveSpec solves A x = A·1 as a validated spec describes, on op's
+// matrix. A is only read, so one operator may serve many concurrent solves.
+func solveSpec(ctx context.Context, spec *JobSpec, op *operator, tr *trace.Recorder, pool *kernel.Pool) (*SolveRecord, error) {
+	a, name := op.a, op.name
 	b := make([]float64, a.Rows())
 	a.MatVec(b, vec.Ones(a.Cols()))
 
@@ -147,7 +153,7 @@ func solveSpec(ctx context.Context, spec *JobSpec, a *sparse.CSR, name string, t
 	var err error
 	switch spec.SolverKind() {
 	case "ftgmres":
-		rec, err = runFTGMRES(ctx, spec, a, name, b, hooks, tr, pool)
+		rec, err = runFTGMRES(ctx, spec, op, b, hooks, tr, pool)
 	case "gmres":
 		rec, err = runGMRES(ctx, spec, a, name, b, hooks, tr, pool)
 	case "cg":
@@ -166,19 +172,19 @@ func solveSpec(ctx context.Context, spec *JobSpec, a *sparse.CSR, name string, t
 	return rec, nil
 }
 
-func runFTGMRES(ctx context.Context, spec *JobSpec, a *sparse.CSR, name string, b []float64, hooks []krylov.CoeffHook, tr *trace.Recorder, pool *kernel.Pool) (*SolveRecord, error) {
-	cfg, err := coreConfig(spec, a, hooks)
+func runFTGMRES(ctx context.Context, spec *JobSpec, op *operator, b []float64, hooks []krylov.CoeffHook, tr *trace.Recorder, pool *kernel.Pool) (*SolveRecord, error) {
+	cfg, err := coreConfig(spec, op.a, hooks)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Recorder = tr
 	cfg.Pool = pool.WithRecorder(tr)
 	start := time.Now()
-	res, err := core.New(a, cfg).SolveCtx(ctx, b, nil)
+	res, err := op.solve(ctx, core.New(op.a, cfg), spec, b)
 	if err != nil {
 		return nil, err
 	}
-	return RecordFromCore(name, a, res, time.Since(start)), nil
+	return RecordFromCore(op.name, op.a, res, time.Since(start)), nil
 }
 
 // coreConfig translates a SolverSpec into a core.Config.

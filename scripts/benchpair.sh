@@ -20,12 +20,18 @@
 # medians and quartiles and the number of pairs the working tree won (ties
 # count for neither). The script exits nonzero if any run fails or reports
 # "correct": false, and removes the temporary directory on every exit.
+#
+# It also writes what it prints as JSON to .bench_build/benchpair.json: the
+# command, both revisions, the first run's "# env" lines, the kernel
+# addresses, every run's raw result and the per-metric summary. Copy that
+# file to a BENCH_<topic>.json to record a claim.
 set -euo pipefail
 
 if [ $# -lt 1 ] || [ $# -gt 4 ]; then
 	echo "usage: $0 <base-rev> [workloads] [pairs] [seconds]" >&2
 	exit 2
 fi
+command="bash scripts/benchpair.sh $*"
 root=$(git rev-parse --show-toplevel)
 cd "$root"
 base=$(git rev-parse --verify "$1^{commit}")
@@ -39,6 +45,8 @@ mkdir "$tmp/base"
 git archive "$base" | tar -x -C "$tmp/base"
 
 results="$tmp/results.jsonl"
+: >"$results"
+envlines="$tmp/env.txt"
 ok=1
 # run <side> <dir> <workload> <pair> <seed>: one benchmark run, its result
 # line printed and kept.
@@ -51,6 +59,9 @@ run() {
 		return
 	fi
 	line=$(tail -n 1 "$out")
+	if [ ! -e "$envlines" ]; then
+		grep '^# env ' "$out" | sed 's/^# //' >"$envlines" || true
+	fi
 	echo "$1 pair $4 $3 seed $5: $line"
 	jq -c --arg side "$1" --arg wl "$3" --argjson pair "$4" '{side: $side, workload: $wl, pair: $pair, result: .}' \
 		<<<"$line" >>"$results"
@@ -85,7 +96,8 @@ kernels() {
 	done
 }
 
-echo "base $base, change: working tree of $(git rev-parse HEAD); $pairs pairs of ${seconds}s runs"
+rev=$(git rev-parse HEAD)
+echo "base $base, change: working tree of $rev; $pairs pairs of ${seconds}s runs"
 shown=0
 IFS=, read -r -a wls <<<"$workloads"
 for wl in "${wls[@]}"; do
@@ -99,17 +111,24 @@ for wl in "${wls[@]}"; do
 			run base "$tmp/base" "$wl" "$i" "$seed"
 		fi
 		if [ "$shown" = 0 ]; then
-			kernels
+			kernels | tee "$tmp/kernels.txt"
 			shown=1
 		fi
 	done
 done
 
-python3 - "$results" BENCHMARK.json <<'EOF'
-import json, statistics, sys
+mkdir -p .bench_build
+python3 - "$results" BENCHMARK.json "$tmp" .bench_build/benchpair.json "$command" "$base" "$rev" <<'EOF'
+import json, os, statistics, sys
 
 runs = [json.loads(l) for l in open(sys.argv[1])]
 metrics = json.load(open(sys.argv[2]))["end_to_end"]
+
+def lines(name):
+    path = os.path.join(sys.argv[3], name)
+    return open(path).read().splitlines() if os.path.exists(path) else []
+
+summary = []
 
 def quartiles(xs):
     if len(xs) == 1:
@@ -135,6 +154,16 @@ for wl in dict.fromkeys(r["workload"] for r in runs):
         gap = abs(cq[1] - bq[1]) > bq[2] - bq[0]
         fmt = lambda q: "%.4g/%.4g/%.4g" % q
         print(f"{wl:<12} {name:<14} {m['better']:<6} {fmt(bq):>26} {fmt(cq):>26} {rel:>+8.1%} {wins:>3}/{len(both):<2} {'yes' if gap else 'no'}")
+        summary.append({"workload": wl, "metric": name, "better": m["better"],
+                        "base_quartiles": list(bq), "change_quartiles": list(cq),
+                        "change": None if rel != rel else rel, "pairs": len(both), "pairs_won": wins,
+                        "gap_above_base_iqr": gap})
+
+with open(sys.argv[4], "w") as f:
+    json.dump({"command": sys.argv[5], "base": sys.argv[6], "change": "working tree of " + sys.argv[7],
+               "env": lines("env.txt"), "kernels": lines("kernels.txt"), "runs": runs, "summary": summary}, f, indent=1)
+    f.write("\n")
+print("wrote " + sys.argv[4])
 EOF
 
 if [ "$ok" != 1 ]; then
