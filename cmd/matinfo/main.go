@@ -37,18 +37,28 @@ func main() {
 		}
 		fmt.Printf("trace: %s\n  events: %d\n  status: ok (parseable, known kinds, non-decreasing timestamps)\n", *checkTrace, count)
 		return
-	case *gen == "poisson":
-		expt.WriteTable1(os.Stdout, []expt.Table1Row{expt.Table1Poisson(*n)})
-		return
-	case *gen == "circuit":
-		row, err := expt.Table1Circuit(*n)
-		if err != nil {
+	case *gen != "":
+		// Validated as a job spec is: a size the generator refuses is an error.
+		spec := gallery.Spec{Kind: *gen, N: *n}
+		if err := spec.Validate(); err != nil {
 			fatal(err)
 		}
-		expt.WriteTable1(os.Stdout, []expt.Table1Row{row})
-		return
-	case *gen == "convdiff":
-		describe(gallery.ConvectionDiffusion2D(*n, 10, -5), fmt.Sprintf("convdiff-%d", *n), *cond)
+		switch spec.Kind {
+		case "poisson":
+			expt.WriteTable1(os.Stdout, []expt.Table1Row{expt.Table1Poisson(*n)})
+		case "circuit":
+			row, err := expt.Table1Circuit(*n)
+			if err != nil {
+				fatal(err)
+			}
+			expt.WriteTable1(os.Stdout, []expt.Table1Row{row})
+		case "convdiff":
+			a, err := spec.Build()
+			if err != nil {
+				fatal(err)
+			}
+			describe(a, fmt.Sprintf("convdiff-%d", *n), *cond)
+		}
 		return
 	case *file != "":
 		m, err := sparse.ReadMatrixMarketFile(*file)

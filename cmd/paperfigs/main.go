@@ -503,29 +503,32 @@ func (s *sweeper) sweep(ctx context.Context, name string, spec campaign.ProblemS
 		Steps:     []string{step},
 		Detectors: []campaign.DetectorSpec{det},
 		Stride:    s.stride,
+		// Every unit gets an hour, run locally or by a fleet worker.
+		UnitBudgetMS: time.Hour.Milliseconds(),
 	}
 	c, err := s.problems.Compile(man)
 	if err != nil {
 		fatal(err)
 	}
 	skipped := len(c.Units) - c.Remaining(s.have)
-	var fresh map[string]campaign.Record
+	var recs map[string]campaign.Record
 	var runErr error
 	if s.fleet != nil {
 		// Distributed path: the coordinator owns this journal; workers
 		// (in-process and external alike) execute the units and report
 		// records over the wire.
-		fresh, runErr = s.fleet.host.RunCampaign(ctx, c, s.journal, s.have, campaign.CoordinatorConfig{
+		recs, runErr = s.fleet.host.RunCampaign(ctx, c, s.journal, s.have, campaign.CoordinatorConfig{
 			LeaseTTL:  s.fleet.leaseTTL,
 			BatchSize: s.fleet.batch,
 			Memo:      s.memo,
 		})
 	} else {
-		r := campaign.NewRunner(c, s.journal, s.have, campaign.Options{Workers: s.workers, KernelWorkers: s.kernelWorkers, UnitBudget: time.Hour, Memo: s.memo})
+		r := campaign.NewRunner(c, s.journal, s.have, campaign.Options{Workers: s.workers, KernelWorkers: s.kernelWorkers, Memo: s.memo})
 		runErr = r.Run(ctx)
-		fresh = r.Records()
+		recs = r.Records()
 	}
-	for id, rec := range fresh {
+	// Every series shares the profile's journal, and so its record set.
+	for id, rec := range recs {
 		s.have[id] = rec
 	}
 	if runErr != nil {
@@ -645,21 +648,7 @@ func writeCSV(outdir, name string, p *expt.Problem, cfg expt.SweepConfig, pts []
 	}
 }
 
-func slug(s string) string {
-	s = strings.ToLower(s)
-	var b strings.Builder
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z' || r >= '0' && r <= '9':
-			b.WriteRune(r)
-		case r == '-' || r == '_':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}
+func slug(s string) string { return campaign.Slug(strings.ToLower(s)) }
 
 func abs(v float64) float64 {
 	if v < 0 {

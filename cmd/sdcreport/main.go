@@ -221,7 +221,7 @@ func writeCSVs(w io.Writer, sn *store.Snapshot, camp, dir string) error {
 		return err
 	}
 	for _, key := range sn.SeriesKeys(camp) {
-		path := filepath.Join(dir, store.CSVFileName(camp, key))
+		path := filepath.Join(dir, key.FileName(camp))
 		f, err := os.Create(path)
 		if err != nil {
 			return err

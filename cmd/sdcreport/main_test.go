@@ -147,37 +147,67 @@ func TestReportJSON(t *testing.T) {
 // TestReportCSVByteIdentity is the warehouse proof at the CLI level: the
 // CSVs sdcreport regenerates from the store are byte-identical to what the
 // engine's own aggregator writes from the same records, under the same
-// filenames the solved coordinator uses.
+// filenames the solved coordinator uses, one file per series — also when
+// two problems share a model, step and detector.
 func TestReportCSVByteIdentity(t *testing.T) {
-	c := reportCompiled(t)
-	recs := fabricate(c, 0)
-	dir := seedStore(t)
-	csvDir := t.TempDir()
-	out := runReport(t, "-store-dir", dir, "-campaign", "report-test", "-csv-out", csvDir)
-	if !strings.Contains(out, "wrote ") {
-		t.Fatalf("csv-out wrote nothing:\n%s", out)
-	}
-
-	series, err := c.Aggregate(recs)
+	two, err := campaign.Compile(campaign.Manifest{
+		Name: "report-two",
+		Problems: []campaign.ProblemSpec{
+			{Kind: "poisson", N: 8, InnerIters: 6, TargetOuter: 5},
+			{Kind: "poisson", N: 10, InnerIters: 6, TargetOuter: 5},
+		},
+		Models: []string{"slight", "large"},
+		Steps:  []string{"first"},
+		Stride: 3,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series) == 0 {
-		t.Fatal("aggregator produced no series")
-	}
-	for _, sr := range series {
-		var engine bytes.Buffer
-		if err := sr.WriteCSV(&engine); err != nil {
+	for _, c := range []*campaign.Compiled{reportCompiled(t), two} {
+		name := c.Manifest.Name
+		recs := fabricate(c, 0)
+		dir := t.TempDir()
+		st, err := store.Open(dir, store.Options{})
+		if err != nil {
 			t.Fatal(err)
 		}
-		name := store.CSVFileName("report-test", sr.Key)
-		got, err := os.ReadFile(filepath.Join(csvDir, name))
-		if err != nil {
-			t.Fatalf("regenerated CSV missing: %v", err)
+		if _, err := st.IngestAll(name, recs); err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(got, engine.Bytes()) {
-			t.Fatalf("%s differs from engine aggregate output:\nstore:\n%s\nengine:\n%s",
-				name, got, engine.Bytes())
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		csvDir := t.TempDir()
+		out := runReport(t, "-store-dir", dir, "-campaign", name, "-csv-out", csvDir)
+		if !strings.Contains(out, "wrote ") {
+			t.Fatalf("%s: csv-out wrote nothing:\n%s", name, out)
+		}
+
+		series, err := c.Aggregate(recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files, err := os.ReadDir(csvDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(series) == 0 || len(files) != len(series) {
+			t.Fatalf("%s: %d CSV files for %d series", name, len(files), len(series))
+		}
+		for _, sr := range series {
+			var engine bytes.Buffer
+			if err := sr.WriteCSV(&engine); err != nil {
+				t.Fatal(err)
+			}
+			file := sr.Key.FileName(name)
+			got, err := os.ReadFile(filepath.Join(csvDir, file))
+			if err != nil {
+				t.Fatalf("regenerated CSV missing: %v", err)
+			}
+			if !bytes.Equal(got, engine.Bytes()) {
+				t.Fatalf("%s differs from engine aggregate output:\nstore:\n%s\nengine:\n%s",
+					file, got, engine.Bytes())
+			}
 		}
 	}
 }

@@ -183,17 +183,12 @@ func exitForSolve(res *core.Result) {
 // same command resumes. Output is the Section VII-E summary table per
 // completed series (or the full progress + summaries as JSON).
 func runCampaign(manifestPath, journalPath string, jsonOut bool, kernelWorkers int, memoBytes int64) {
-	raw, err := os.ReadFile(manifestPath)
+	man, err := campaign.LoadManifest(manifestPath)
 	if err != nil {
 		fatal(err)
 	}
-	var man campaign.Manifest
-	if err := json.Unmarshal(raw, &man); err != nil {
-		fatal(fmt.Errorf("parsing %s: %w", manifestPath, err))
-	}
 	if journalPath == "" {
-		journalPath = filepath.Join(filepath.Dir(manifestPath),
-			fmt.Sprintf("%s-%s.jsonl", man.Slug(), man.Hash()))
+		journalPath = filepath.Join(filepath.Dir(manifestPath), man.JournalName())
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -219,12 +214,10 @@ func runCampaign(manifestPath, journalPath string, jsonOut bool, kernelWorkers i
 	}
 	r := campaign.NewRunner(c, j, have, campaign.Options{KernelWorkers: kernelWorkers, Memo: cache})
 	runErr := r.Run(ctx)
-	for id, rec := range r.Records() {
-		have[id] = rec
-	}
+	recs := r.Records()
 	if runErr != nil && ctx.Err() != nil {
 		fmt.Fprintf(os.Stderr, "sdcrun: interrupted — %d finished experiments are journaled at:\n  %s\nrerun the same command to resume\n",
-			len(have), journalPath)
+			len(recs), journalPath)
 		os.Exit(130)
 	}
 	if runErr != nil {
@@ -232,7 +225,7 @@ func runCampaign(manifestPath, journalPath string, jsonOut bool, kernelWorkers i
 	}
 
 	prog := r.Progress()
-	sums, err := c.Summaries(have)
+	sums, err := c.Summaries(recs)
 	if err != nil {
 		fatal(err)
 	}

@@ -28,6 +28,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -148,9 +149,15 @@ func cmdSubmit(ctx context.Context, cl *client.Client, args []string) error {
 	if err != nil {
 		return err
 	}
+	// A misspelled field is an error, as in the daemon, not dropped here.
 	var spec service.JobSpec
-	if err := json.Unmarshal(raw, &spec); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		return fmt.Errorf("bad job spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("bad job spec: data after the spec object")
 	}
 	if *tenant != "" {
 		spec.Tenant = *tenant
@@ -185,13 +192,9 @@ func cmdCampaign(ctx context.Context, cl *client.Client, args []string) error {
 	if len(paths) != 1 {
 		return fmt.Errorf("want exactly one manifest path")
 	}
-	raw, err := os.ReadFile(paths[0])
+	man, err := campaign.LoadManifest(paths[0])
 	if err != nil {
 		return err
-	}
-	var man campaign.Manifest
-	if err := json.Unmarshal(raw, &man); err != nil {
-		return fmt.Errorf("bad manifest %s: %w", paths[0], err)
 	}
 	view, err := cl.SubmitCampaign(ctx, man)
 	if err != nil {

@@ -558,22 +558,15 @@ func runWorker(ctx context.Context, cfg cliConfig) error {
 
 // runCoordinate serves one campaign manifest to a worker fleet: it compiles
 // the manifest (calibrating problems locally), opens — and resumes, if
-// non-empty — the journal <dist-out>/<name>.jsonl, exposes the lease
+// non-empty — the journal <dist-out>/<slug>-<hash>.jsonl, exposes the lease
 // protocol through the full service server, blocks until the fleet finishes
 // every unit, writes each series CSV, and exits.
 func runCoordinate(ctx context.Context, cfg cliConfig) error {
 	lg := cfg.log.Named("solved")
 	bg := context.Background()
-	raw, err := os.ReadFile(cfg.coordinate)
+	man, err := campaign.LoadManifest(cfg.coordinate)
 	if err != nil {
 		return err
-	}
-	var man campaign.Manifest
-	if err := json.Unmarshal(raw, &man); err != nil {
-		return fmt.Errorf("parse manifest %s: %w", cfg.coordinate, err)
-	}
-	if man.Name == "" {
-		return fmt.Errorf("manifest %s has no name", cfg.coordinate)
 	}
 	lg.Info(bg, "coordinating campaign, calibrating problems", "campaign", man.Name)
 	compiled, err := campaign.Compile(man)
@@ -587,7 +580,7 @@ func runCoordinate(ctx context.Context, cfg cliConfig) error {
 	if err := os.MkdirAll(outdir, 0o755); err != nil {
 		return err
 	}
-	journal, have, err := campaign.OpenJournal(filepath.Join(outdir, man.Name+".jsonl"))
+	journal, have, err := campaign.OpenJournal(filepath.Join(outdir, man.JournalName()))
 	if err != nil {
 		return err
 	}
@@ -648,7 +641,7 @@ func runCoordinate(ctx context.Context, cfg cliConfig) error {
 		}
 		distCfg.OnMemo = distCfg.OnRecord
 	}
-	fresh, runErr := host.RunCampaign(ctx, compiled, journal, have, distCfg)
+	recs, runErr := host.RunCampaign(ctx, compiled, journal, have, distCfg)
 	host.Close()
 	// Keep serving until the fleet has heard the closed state, so workers
 	// exit cleanly instead of retrying a dead listener.
@@ -658,9 +651,6 @@ func runCoordinate(ctx context.Context, cfg cliConfig) error {
 		defer cancel()
 		_ = srv.Shutdown(sctx) // bounded by sctx; Close follows
 	}()
-	for id, rec := range fresh {
-		have[id] = rec
-	}
 	snap := host.Metrics().Snapshot()
 	lg.Info(bg, "fleet stats", "granted", snap["leases_granted"],
 		"completed", snap["leases_completed"], "expired", snap["leases_expired"],
@@ -669,12 +659,12 @@ func runCoordinate(ctx context.Context, cfg cliConfig) error {
 		return fmt.Errorf("campaign %q: %w (journal %s resumes it)", man.Name, runErr, journal.Path())
 	}
 
-	series, err := compiled.Aggregate(have)
+	series, err := compiled.Aggregate(recs)
 	if err != nil {
 		return err
 	}
 	for _, sr := range series {
-		name := store.CSVFileName(man.Name, sr.Key)
+		name := sr.Key.FileName(man.Name)
 		f, err := os.Create(filepath.Join(outdir, name))
 		if err != nil {
 			return err

@@ -30,6 +30,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
+	"os"
 	"strings"
 
 	"sdcgmres/internal/core"
@@ -285,22 +287,53 @@ func (m Manifest) Hash() string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// Slug renders the campaign name as a filesystem-safe token.
-func (m Manifest) Slug() string {
-	var b strings.Builder
-	for _, r := range strings.ToLower(m.Name) {
-		switch {
-		case r >= 'a' && r <= 'z' || r >= '0' && r <= '9' || r == '-' || r == '_':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
+// LoadManifest reads and validates a manifest file. As in the service, an
+// unknown field (a misspelled "stride", say) is an error, not a dropped
+// knob, and so is anything after the manifest object.
+func LoadManifest(path string) (Manifest, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return Manifest{}, err
 	}
-	if b.Len() == 0 {
-		return "campaign"
+	defer f.Close()
+	var m Manifest
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&m); err != nil {
+		return Manifest{}, fmt.Errorf("campaign: manifest %s: %w", path, err)
 	}
-	return b.String()
+	if _, err := dec.Token(); err != io.EOF {
+		return Manifest{}, fmt.Errorf("campaign: manifest %s: data after the manifest object", path)
+	}
+	if err := m.Validate(); err != nil {
+		return Manifest{}, err
+	}
+	return m, nil
 }
+
+// Slug renders s as a file-name token: every rune outside [A-Za-z0-9_-]
+// becomes '_', so the result holds no path separator and no dot.
+func Slug(s string) string {
+	return strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || r == '-' || r == '_':
+			return r
+		}
+		return '_'
+	}, s)
+}
+
+// Slug renders the campaign name as a lower-case file-name token.
+func (m Manifest) Slug() string {
+	if s := Slug(strings.ToLower(m.Name)); s != "" {
+		return s
+	}
+	return "campaign"
+}
+
+// JournalName is <slug>-<hash>.jsonl: distinct manifests never share a
+// journal by accident, and resubmitting the same one resumes it.
+func (m Manifest) JournalName() string { return m.Slug() + "-" + m.Hash() + ".jsonl" }
 
 // SeriesKey identifies one sweep series (one curve of one figure): a
 // problem, fault model, MGS step and detector policy. Units of a series
@@ -315,4 +348,10 @@ type SeriesKey struct {
 // String renders the key for logs.
 func (k SeriesKey) String() string {
 	return fmt.Sprintf("%s × %s × %s × det=%s", k.Problem, k.Model, k.Step, k.Detector)
+}
+
+// FileName is the series' CSV file name in a campaign: every part of
+// <campaign>_<problem>_<model>_<step>_<detector>.csv passed through Slug.
+func (k SeriesKey) FileName(campaign string) string {
+	return Slug(campaign) + "_" + Slug(k.Problem) + "_" + Slug(k.Model) + "_" + Slug(k.Step) + "_" + Slug(k.Detector) + ".csv"
 }

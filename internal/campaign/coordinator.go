@@ -23,8 +23,8 @@ var ErrLeaseGone = errors.New("campaign: lease gone")
 type Options struct {
 	// Workers bounds concurrent units (default GOMAXPROCS).
 	Workers int
-	// UnitBudget is the per-unit wall-clock deadline (default 2 minutes,
-	// overridden by the manifest's unit_budget_ms when set).
+	// UnitBudget, when positive, replaces the manifest's per-unit deadline
+	// (unit_budget_ms, default 2 minutes); it can go below 1 ms.
 	UnitBudget time.Duration
 	// KernelWorkers is the total shared-memory kernel budget for the run
 	// (0 = kernels run sequentially). Each campaign worker gets a
@@ -209,9 +209,8 @@ type Coordinator struct {
 	started  time.Time
 
 	mu         sync.Mutex
-	units      map[string]Unit // campaign membership by unit ID
-	have       map[string]Record
-	fresh      map[string]Record // journaled by this coordinator
+	units      map[string]Unit   // campaign membership by unit ID
+	have       map[string]Record // the campaign's records, resumed ones included
 	pending    []Unit            // unleased incomplete units, FIFO
 	leases     map[string]*lease
 	nextLease  int64
@@ -238,8 +237,7 @@ func NewCoordinator(c *Compiled, j *Journal, have map[string]Record, cfg Coordin
 		lctx:     obs.With(context.Background(), obs.Correlation{ID: cfg.CID}),
 		started:  cfg.Now(),
 		units:    make(map[string]Unit, len(c.Units)),
-		have:     make(map[string]Record, len(have)),
-		fresh:    make(map[string]Record),
+		have:     make(map[string]Record, len(c.Units)),
 		leases:   make(map[string]*lease),
 		done:     make(chan struct{}),
 		failed:   make(chan struct{}),
@@ -291,13 +289,13 @@ func (co *Coordinator) Err() error {
 	return co.journalErr
 }
 
-// NewRecords returns the records this coordinator journaled (not the ones
-// the journal already held).
-func (co *Coordinator) NewRecords() map[string]Record {
+// Records returns every record the campaign's units have: the ones the
+// journal held at open and the ones journaled since.
+func (co *Coordinator) Records() map[string]Record {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	out := make(map[string]Record, len(co.fresh))
-	for k, v := range co.fresh {
+	out := make(map[string]Record, len(co.have))
+	for k, v := range co.have {
 		out[k] = v
 	}
 	return out
@@ -453,7 +451,6 @@ func (co *Coordinator) appendLocked(rec Record) error {
 		return err
 	}
 	co.have[rec.ID] = rec
-	co.fresh[rec.ID] = rec
 	co.remaining--
 	return nil
 }

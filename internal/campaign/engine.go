@@ -48,8 +48,9 @@ func NewRunner(c *Compiled, j *Journal, have map[string]Record, opts Options) *R
 	return &Runner{co: co, opts: opts}
 }
 
-// Records returns the records this run produced (not the resumed ones).
-func (r *Runner) Records() map[string]Record { return r.co.NewRecords() }
+// Records returns every record the campaign's units have, resumed ones
+// included.
+func (r *Runner) Records() map[string]Record { return r.co.Records() }
 
 // Progress snapshots the run.
 func (r *Runner) Progress() Progress { return r.co.Progress() }

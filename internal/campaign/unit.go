@@ -64,8 +64,6 @@ type Compiled struct {
 	Problems map[string]*expt.Problem
 	// Units is the full work list in deterministic order.
 	Units []Unit
-	// detectors maps DetectorSpec keys back to specs (for SweepConfig).
-	detectors map[string]DetectorSpec
 }
 
 // Compile validates the manifest, calibrates every problem (the expensive
@@ -140,12 +138,8 @@ func CompileWith(m Manifest, problems map[string]*expt.Problem) (*Compiled, erro
 	}
 	m = m.withDefaults()
 	c := &Compiled{
-		Manifest:  m,
-		Problems:  make(map[string]*expt.Problem, len(m.Problems)),
-		detectors: make(map[string]DetectorSpec, len(m.Detectors)),
-	}
-	for _, d := range m.Detectors {
-		c.detectors[d.Key()] = d
+		Manifest: m,
+		Problems: make(map[string]*expt.Problem, len(m.Problems)),
 	}
 	for _, ps := range m.Problems {
 		p, ok := problems[ps.Key()]
@@ -185,26 +179,33 @@ func CompileWith(m Manifest, problems map[string]*expt.Problem) (*Compiled, erro
 // engine and the aggregator hand the exact same inputs to expt.RunPoint and
 // expt.WriteSweepCSV as the one-shot path does.
 func (c *Compiled) SweepConfig(u Unit) (expt.SweepConfig, error) {
-	model, err := fault.ParseModel(u.Model)
+	cfg, err := u.SeriesKey().SweepConfig()
 	if err != nil {
 		return expt.SweepConfig{}, fmt.Errorf("campaign: unit %s: %w", u.ID, err)
 	}
-	step, err := fault.ParseStepSelector(u.Step)
+	cfg.Stride = c.Manifest.Stride
+	return cfg, nil
+}
+
+// SweepConfig decodes the series' model, step and detector policy into the
+// expt configuration its units share. The stride is not in the key and
+// stays zero: a compiled campaign sets the manifest's, the store infers it.
+func (k SeriesKey) SweepConfig() (expt.SweepConfig, error) {
+	model, err := fault.ParseModel(k.Model)
 	if err != nil {
-		return expt.SweepConfig{}, fmt.Errorf("campaign: unit %s: %w", u.ID, err)
+		return expt.SweepConfig{}, err
 	}
-	dspec, ok := c.detectors[u.Detector]
-	if !ok {
-		return expt.SweepConfig{}, fmt.Errorf("campaign: unit %s: unknown detector policy %q", u.ID, u.Detector)
+	step, err := fault.ParseStepSelector(k.Step)
+	if err != nil {
+		return expt.SweepConfig{}, err
+	}
+	dspec, err := ParseDetectorKey(k.Detector)
+	if err != nil {
+		return expt.SweepConfig{}, err
 	}
 	det, err := dspec.Config()
 	if err != nil {
 		return expt.SweepConfig{}, err
 	}
-	return expt.SweepConfig{
-		Model:    model,
-		Step:     step,
-		Detector: det,
-		Stride:   c.Manifest.Stride,
-	}, nil
+	return expt.SweepConfig{Model: model, Step: step, Detector: det}, nil
 }

@@ -167,9 +167,9 @@ func (h *Host) touch(worker string) {
 // RunCampaign exposes one compiled campaign to the fleet and blocks until
 // every unit is journaled, the journal fails, or ctx ends. On ctx
 // cancellation the coordinator drains (no further grants) and the error is
-// ctx.Err(); records journaled before the cut survive for a resume. On
-// success it returns the records journaled during this run (the caller
-// merges them over the resumed set).
+// ctx.Err(); records journaled before the cut survive for a resume. It
+// returns every record the campaign's units have, the resumed ones
+// included.
 func (h *Host) RunCampaign(ctx context.Context, c *campaign.Compiled, j *campaign.Journal, have map[string]campaign.Record, cfg campaign.CoordinatorConfig) (map[string]campaign.Record, error) {
 	h.mu.Lock()
 	if h.closed {
@@ -215,14 +215,14 @@ func (h *Host) RunCampaign(ctx context.Context, c *campaign.Compiled, j *campaig
 	select {
 	case <-co.Done():
 		h.log.Info(lctx, "campaign run finished", "generation", gen)
-		return co.NewRecords(), nil
+		return co.Records(), nil
 	case <-co.Failed():
 		h.log.Error(lctx, "campaign run failed", "generation", gen, "error", co.Err())
-		return co.NewRecords(), co.Err()
+		return co.Records(), co.Err()
 	case <-ctx.Done():
 		co.Drain()
 		h.log.Warn(lctx, "campaign run canceled, draining", "generation", gen)
-		return co.NewRecords(), ctx.Err()
+		return co.Records(), ctx.Err()
 	}
 }
 

@@ -32,8 +32,6 @@ type WorkerConfig struct {
 	// MaxBatch caps the units requested per lease (0 = coordinator's
 	// batch size).
 	MaxBatch int
-	// UnitBudget overrides the per-unit wall clock (0 = manifest's).
-	UnitBudget time.Duration
 	// Poll is the idle re-poll interval (default 500ms).
 	Poll time.Duration
 	// Backoff paces retries of failed coordinator round-trips.
@@ -277,7 +275,7 @@ func (w *Worker) executeLease(ctx context.Context, info CampaignInfo, l *campaig
 		go func() {
 			defer wg.Done()
 			for u := range next {
-				rec, ran := campaign.ExecuteUnitPooled(hbCtx, w.compiled, u, w.cfg.UnitBudget, w.cfg.Recorder, pool)
+				rec, ran := campaign.ExecuteUnitPooled(hbCtx, w.compiled, u, 0, w.cfg.Recorder, pool)
 				if !ran {
 					continue
 				}

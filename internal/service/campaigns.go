@@ -192,11 +192,10 @@ func NewCampaignManager(cfg CampaignManagerConfig) *CampaignManager {
 // Metrics returns the manager's registry.
 func (m *CampaignManager) Metrics() *Metrics { return m.cfg.Metrics }
 
-// JournalPath returns where a manifest's journal lives: name slug plus
-// content hash, so distinct manifests never share a journal by accident and
-// identical ones always do.
+// JournalPath returns where a manifest's journal lives: the manifest's
+// JournalName in the manager's directory.
 func (m *CampaignManager) JournalPath(man campaign.Manifest) string {
-	return filepath.Join(m.cfg.Dir, fmt.Sprintf("%s-%s.jsonl", man.Slug(), man.Hash()))
+	return filepath.Join(m.cfg.Dir, man.JournalName())
 }
 
 // Submit validates and launches a campaign with a fresh correlation ID;

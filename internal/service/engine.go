@@ -614,8 +614,10 @@ func (e *Engine) run(j *Job, pool *kernel.Pool) {
 	}
 	// Feed the tenant's circuit breaker: a panic or a blown wall-clock
 	// budget is the guest misbehaving; everything else (including a plain
-	// error or a caller cancel) is not.
-	good := rep.Outcome != sandbox.Panicked && rep.Outcome != sandbox.TimedOut
+	// error or a caller cancel) is not. The budget rides on the job's
+	// context, so a blown one shows in the job's state, not as a sandbox
+	// TimedOut.
+	good := rep.Outcome != sandbox.Panicked && state != StateTimedOut
 	e.sched.ReportOutcome(j.tenant, good)
 	if l := e.cfg.Log; l != nil {
 		lctx := e.jobCtx(j)

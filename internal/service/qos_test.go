@@ -251,6 +251,59 @@ func TestEngineQoSBreakerTripsOnPanics(t *testing.T) {
 	}
 }
 
+// TestEngineQoSBreakerTripsOnTimeouts: a tenant whose jobs keep blowing
+// their wall-clock budget trips its breaker, as one whose jobs panic does.
+// The budget rides on the job's context, so the sandbox reports the
+// guest's context error, never TimedOut; the job's state is what counts.
+func TestEngineQoSBreakerTripsOnTimeouts(t *testing.T) {
+	waitRunner := func(ctx context.Context, _ *JobSpec, _ *trace.Recorder, _ *kernel.Pool) (*SolveRecord, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	e := NewEngine(Config{
+		Workers:       1,
+		DefaultBudget: 20 * time.Millisecond,
+		QoS: &qos.Config{
+			BreakerThreshold: 2,
+			BreakerCooldown:  qos.Duration(time.Hour),
+		},
+		Runner: waitRunner,
+	})
+	e.Start()
+	defer e.Shutdown(context.Background())
+
+	for i := 0; i < 2; i++ {
+		v, err := e.Submit(tenantJob("slow"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := waitTerminal(t, e, v.ID, 5*time.Second); got.State != StateTimedOut {
+			t.Fatalf("job state = %s, want timed-out", got.State)
+		}
+	}
+	// The outcome reaches the breaker just after the job turns terminal.
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+		if breakerOf(e.QoSState(), "slow") == qos.BreakerOpen {
+			break
+		}
+	}
+	_, err := e.Submit(tenantJob("slow"))
+	var shed *qos.ShedError
+	if !errors.As(err, &shed) || shed.Reason != qos.ReasonBreaker {
+		t.Fatalf("submit after two timed-out jobs = %v, want breaker shed", err)
+	}
+}
+
+// breakerOf returns a tenant's breaker state, or "" when it has none.
+func breakerOf(states []qos.TenantState, tenant string) string {
+	for _, st := range states {
+		if st.Tenant == tenant {
+			return st.Breaker
+		}
+	}
+	return ""
+}
+
 // waitRunning polls until a job reaches StateRunning.
 func waitRunning(t *testing.T, e *Engine, id string, within time.Duration) {
 	t.Helper()

@@ -2,11 +2,11 @@ package store
 
 import (
 	"fmt"
+	"io"
 	"sort"
 
 	"sdcgmres/internal/campaign"
 	"sdcgmres/internal/expt"
-	"sdcgmres/internal/fault"
 )
 
 // Snapshot is a point-in-time view of the store. It captures the record
@@ -146,7 +146,8 @@ type SeriesData struct {
 	Key  campaign.SeriesKey
 	Spec campaign.ProblemSpec
 	// Config is the sweep configuration shared by the series' units,
-	// rebuilt exactly as campaign.(*Compiled).SweepConfig builds it.
+	// decoded from the key by campaign.SeriesKey.SweepConfig, with the
+	// stride inferred from the sites present.
 	Config expt.SweepConfig
 	// Sites is the reconstructed site grid (1, 1+stride, …, ≤ total);
 	// Points holds one point per grid site, zero-valued where missing —
@@ -175,28 +176,12 @@ func (sn *Snapshot) SeriesData(campaignName string, key campaign.SeriesKey) (*Se
 	if err != nil {
 		return nil, fmt.Errorf("store: series %v: %w", key, err)
 	}
-	model, err := fault.ParseModel(key.Model)
-	if err != nil {
-		return nil, fmt.Errorf("store: series %v: %w", key, err)
-	}
-	step, err := fault.ParseStepSelector(key.Step)
-	if err != nil {
-		return nil, fmt.Errorf("store: series %v: %w", key, err)
-	}
-	dspec, err := campaign.ParseDetectorKey(key.Detector)
-	if err != nil {
-		return nil, fmt.Errorf("store: series %v: %w", key, err)
-	}
-	det, err := dspec.Config()
+	cfg, err := key.SweepConfig()
 	if err != nil {
 		return nil, fmt.Errorf("store: series %v: %w", key, err)
 	}
 
-	sd := &SeriesData{
-		Key:    key,
-		Spec:   spec,
-		Config: expt.SweepConfig{Model: model, Step: step, Detector: det},
-	}
+	sd := &SeriesData{Key: key, Spec: spec, Config: cfg}
 	bySite := make(map[int]Rec, len(positions))
 	for _, pos := range positions {
 		rec := sn.r[pos]
@@ -229,6 +214,19 @@ func (sn *Snapshot) SeriesData(campaignName string, key campaign.SeriesKey) (*Se
 		sd.Points = append(sd.Points, rec.Record.Point)
 	}
 	return sd, nil
+}
+
+// WriteSeriesCSV regenerates one series' sweep CSV from the store, routed
+// through the exact writer the engine's aggregator uses
+// (expt.WriteSweepCSV), with the problem display name and sweep
+// configuration rebuilt from the journaled unit keys. For a complete
+// series the output is byte-identical to the engine's aggregate CSV.
+func (sn *Snapshot) WriteSeriesCSV(w io.Writer, campaignName string, key campaign.SeriesKey) error {
+	sd, err := sn.SeriesData(campaignName, key)
+	if err != nil {
+		return err
+	}
+	return expt.WriteSweepCSV(w, sd.Spec.DisplayName(), sd.Config, sd.Points)
 }
 
 func gcd(a, b int) int {

@@ -165,7 +165,7 @@ func allSeriesCSVs(t *testing.T, sn *Snapshot, name string) map[string][]byte {
 		if err := sn.WriteSeriesCSV(&buf, name, key); err != nil {
 			t.Fatalf("write series csv: %v", err)
 		}
-		out[CSVFileName(name, key)+"|"+key.Problem] = buf.Bytes()
+		out[key.FileName(name)] = buf.Bytes()
 	}
 	return out
 }
